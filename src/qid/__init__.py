@@ -10,7 +10,7 @@ from .engine import (IdentityRecord, check_congruence, eval_expr,
                      verify)
 from .errors import (NonGenericParameterError, NotInvertibleError, ParseError,
                      QidError, ThetaVanishesError, TruncationError,
-                     UnsupportedEtaIndexError)
+                     UnsupportedEtaIndexError, WindowUnstableError)
 from .mock_theta import SELECTORS, mock_theta_coefficient, mock_theta_series
 from .outcome import VerificationOutcome, compare_series
 from .paramcheck import (BASE_VECTORS, ParamProofOutcome, ParamVector,
@@ -28,8 +28,9 @@ __all__ = [
     "load_registry", "report_json", "run_suite", "verify",
     "NonGenericParameterError", "NotInvertibleError", "ParseError",
     "QidError", "ThetaVanishesError", "TruncationError",
-    "UnsupportedEtaIndexError", "SELECTORS", "mock_theta_coefficient",
-    "mock_theta_series", "VerificationOutcome", "compare_series",
+    "UnsupportedEtaIndexError", "WindowUnstableError", "SELECTORS",
+    "mock_theta_coefficient", "mock_theta_series", "VerificationOutcome",
+    "compare_series",
     "BASE_VECTORS", "ParamProofOutcome", "ParamVector", "PPolynomial",
     "param_vector_of_term", "prove_zero", "series_zero_crosscheck",
     "EtaExpression", "EtaMonomial", "SignedMonomial", "eta_expression",

@@ -6,8 +6,8 @@ with Q = q^base.  Every summand denominator 1 - eps*q^d is expanded
 exactly: geometrically for d > 0, via the rewrite
 1/(1-eps*q^d) = -eps*q^(-d)/(1-eps*q^(-d)) for d < 0, and as the constant
 1/2 for d = 0 with eps = -1.  The bilateral window is chosen from the
-exact per-term minimal exponent bound and its adequacy is asserted at
-runtime on every evaluation.
+exact per-term minimal exponent bound and its adequacy is checked at
+runtime on every evaluation (WindowUnstableError otherwise).
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonGenericParameterError, QidError
+from .errors import NonGenericParameterError, QidError, WindowUnstableError
 from .outcome import VerificationOutcome, compare_series
 from .qproducts import SignedMonomial, eta_f, theta_j
-from .series import TruncatedLaurentSeries, _ZERO
+from .series import TruncatedLaurentSeries
 
 
 @dataclass(frozen=True)
@@ -78,48 +78,50 @@ def appell_lerch_m(spec: AppellLerchSpec, order: int) -> TruncatedLaurentSeries:
     r_hi = max(scan(+1), 0)
     r_lo = min(scan(-1), 0)
 
-    # window-stability assertion: the next two indices on each side are
+    # window-stability check: the next two indices on each side are
     # entirely beyond the truncation order
     for r in (r_hi + 1, r_hi + 2, r_lo - 1, r_lo - 2):
         if _term_min_exp(r, a, t, base) <= order_s:
-            raise AssertionError(
+            raise WindowUnstableError(
                 f"Appell-Lerch window unstable at r={r} for {spec} (order {order})")
 
-    acc: dict[int, Fraction] = {}
+    # integer numerators of the bilateral sum over the denominator 2, which
+    # the d == 0 summand 1/2 needs; the series normalises it away otherwise
+    acc: dict[int, int] = {}
 
-    def put(e: int, c: Fraction):
+    def put(e: int, c: int):
         if e <= order_s:
-            acc[e] = acc.get(e, _ZERO) + c
+            acc[e] = acc.get(e, 0) + c
 
     smin = order_s + 1
     for r in range(r_lo, r_hi + 1):
         if _term_min_exp(r, a, t, base) > order_s:
             continue
         smin = min(smin, _term_min_exp(r, a, t, base))
-        s_r = Fraction(1 if r % 2 == 0 else -ez)  # (-1)^r * z.sign^r
+        s_r = 1 if r % 2 == 0 else -ez  # (-1)^r * z.sign^r
         e_r = base * r * (r + 1) // 2 + t * r
         d = a + t + base * r
         if d == 0:
             if eps == 1:
                 raise NonGenericParameterError(
                     "non-generic parameters: summand denominator 1 - q^0")
-            put(e_r, s_r / 2)
+            put(e_r, s_r)
         elif d > 0:
             j = 0
             while e_r + d * j <= order_s:
-                put(e_r + d * j, s_r * eps ** j)
+                put(e_r + d * j, 2 * s_r * eps ** j)
                 j += 1
         else:
             i = 1
             while e_r - d * i <= order_s:
-                put(e_r - d * i, -s_r * eps ** i)
+                put(e_r - d * i, -2 * s_r * eps ** i)
                 i += 1
 
     if smin > order_s:
         ssum = TruncatedLaurentSeries(order_s + 1, order_s, ())
     else:
         ssum = TruncatedLaurentSeries(
-            smin, order_s, tuple(acc.get(e, _ZERO) for e in range(smin, order_s + 1)))
+            smin, order_s, tuple(acc.get(e, 0) for e in range(smin, order_s + 1)), 2)
 
     # prefactor -z / j(z;Q) to an order making the product sound
     pf_order = order - min(smin, 0)

@@ -23,6 +23,21 @@ _COEFF_ALIASES = {"A": "A1", "B": "B1", "MU2": "MU2"}
 
 _EXIT = {"pass": 0, "fail": 1, "error": 2}
 
+#: Largest `--order` (verify, suite) and `--upto` (coeffs) accepted.  Direct
+#: summation grows about as N^3 in time, so an unbounded order could hang
+#: the machine; every registry record (at most 300) and every benchmark
+#: listing (at most 500) stays below this.
+MAX_ORDER = 1000
+
+
+def _above_max_order(flag: str, value: int | None) -> bool:
+    """Report and return True when value exceeds MAX_ORDER."""
+    if value is not None and value > MAX_ORDER:
+        print(f"{flag} {value} exceeds the maximum order {MAX_ORDER}",
+              file=sys.stderr)
+        return True
+    return False
+
 
 def _resolve_registry(args):
     path = getattr(args, "registry", None) or os.environ.get("QID_REGISTRY")
@@ -42,6 +57,8 @@ def _print_outcome(name, out):
 
 
 def cmd_verify(args) -> int:
+    if _above_max_order("--order", args.order):
+        return 2
     if args.expr:
         if len(args.expr) != 2:
             print("verify --expr requires exactly two expressions",
@@ -83,6 +100,8 @@ def cmd_coeffs(args) -> int:
     if args.upto < 0:
         print("--upto must be nonnegative", file=sys.stderr)
         return 2
+    if _above_max_order("--upto", args.upto):
+        return 2
     series = mock_theta_series(sel, args.upto)
     for n in range(args.upto + 1):
         c = series.coefficient(n)
@@ -94,6 +113,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    if _above_max_order("--order", args.order):
+        return 2
     try:
         records = _resolve_registry(args)
     except (OSError, QidError, json.JSONDecodeError) as exc:

@@ -6,7 +6,7 @@ parts dissect correctly.
 
 from __future__ import annotations
 
-from .series import TruncatedLaurentSeries, _ZERO
+from .series import TruncatedLaurentSeries
 
 
 def dissect_extract(s: TruncatedLaurentSeries, m: int, r: int) -> TruncatedLaurentSeries:
@@ -21,11 +21,7 @@ def dissect_extract(s: TruncatedLaurentSeries, m: int, r: int) -> TruncatedLaure
     if e0 > s.order:
         return TruncatedLaurentSeries(order + 1, order, ())
     lo = (e0 - r) // m
-    n = order - lo + 1
-    out = [_ZERO] * n
-    for e in range(e0, s.order + 1, m):
-        out[(e - r) // m - lo] = s.coefficient(e)
-    return TruncatedLaurentSeries(lo, order, tuple(out))
+    return TruncatedLaurentSeries(lo, order, s.coeffs[e0 - s.min_exp::m], s.den)
 
 
 def dissect_reconstruct(parts, m: int) -> TruncatedLaurentSeries:

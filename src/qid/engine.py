@@ -243,7 +243,7 @@ def verify(rec: IdentityRecord, order: int | None = None) -> VerificationOutcome
             return check_parity_characterization(rec.series, rec.count)
         return VerificationOutcome("error", -1, None,
                                    f"unknown record kind {rec.kind!r}")
-    except (QidError, ValueError, AssertionError) as exc:
+    except (QidError, ValueError) as exc:
         return VerificationOutcome("error", -1, None, str(exc))
 
 

@@ -21,6 +21,11 @@ class NonGenericParameterError(QidError):
     """Raised when an Appell-Lerch summand denominator vanishes identically."""
 
 
+class WindowUnstableError(QidError):
+    """Raised when the bilateral Appell-Lerch summation window is not stable:
+    a summand just outside it still reaches the truncation order."""
+
+
 class UnsupportedEtaIndexError(QidError):
     """Raised when a parametrization is requested for an f_k outside {1,2,3,4,6,12}."""
 

@@ -11,8 +11,10 @@ a term's exact minimal exponent exceeds the truncation order.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .qproducts import SignedMonomial, pochhammer_finite
-from .series import Rat, TruncatedLaurentSeries
+from .series import TruncatedLaurentSeries
 
 #: selector -> (minimal exponent of term n)
 _MIN_EXP = {
@@ -75,7 +77,7 @@ def mock_theta_series(sel: str, order: int) -> TruncatedLaurentSeries:
     return cached.truncate(order)
 
 
-def mock_theta_coefficient(sel: str, n: int) -> Rat:
+def mock_theta_coefficient(sel: str, n: int) -> Fraction:
     if n < 0:
         raise ValueError("coefficient index must be nonnegative")
     return mock_theta_series(sel, n).coefficient(n)

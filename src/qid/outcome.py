@@ -24,15 +24,26 @@ class VerificationOutcome:
         return self.status == "pass"
 
 
+def _numerators(s: TruncatedLaurentSeries, lo: int, hi: int) -> list[int]:
+    """Numerators over s.den of the coefficients of q^lo .. q^hi, for
+    lo <= s.min_exp and hi <= s.order."""
+    lead = max(0, min(hi + 1, s.min_exp) - lo)
+    return [0] * lead + list(s.coeffs[: max(0, hi - s.min_exp + 1)])
+
+
 def compare_series(lhs: TruncatedLaurentSeries, rhs: TruncatedLaurentSeries,
                    message: str = "") -> VerificationOutcome:
     """Compare on the overlap of determined windows, reporting the compared order."""
     compared = min(lhs.order, rhs.order)
     lo = min(lhs.min_exp, rhs.min_exp)
-    for e in range(lo, compared + 1):
-        cl = lhs.coefficient(e)
-        cr = rhs.coefficient(e)
-        if cl != cr:
-            return VerificationOutcome("fail", compared, (e, cl, cr),
-                                       message or f"first mismatch at q^{e}")
+    left = _numerators(lhs, lo, compared)
+    right = _numerators(rhs, lo, compared)
+    if lhs.den != rhs.den:
+        left = [c * rhs.den for c in left]
+        right = [c * lhs.den for c in right]
+    if left != right:
+        e = lo + next(i for i, (cl, cr) in enumerate(zip(left, right)) if cl != cr)
+        return VerificationOutcome("fail", compared,
+                                   (e, lhs.coefficient(e), rhs.coefficient(e)),
+                                   message or f"first mismatch at q^{e}")
     return VerificationOutcome("pass", compared, None, message)

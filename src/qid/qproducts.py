@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import ThetaVanishesError
-from .series import TruncatedLaurentSeries, _ZERO
+from .series import TruncatedLaurentSeries
 
 _CACHE_STEP = 64
 
@@ -48,20 +49,19 @@ def mul_one_minus(s: TruncatedLaurentSeries, eps: int, d: int) -> TruncatedLaure
     """Multiply s by the exact binomial (1 - eps*q^d)."""
     lo = s.min_exp + min(0, d)
     order = s.order + min(0, d)
-    n = order - lo + 1
-    if n <= 0:
-        return TruncatedLaurentSeries(order + 1, order, ())
-    out = [_ZERO] * n
-    for i, c in enumerate(s.coeffs):
-        if not c:
-            continue
-        e = s.min_exp + i
-        if e <= order:
-            out[e - lo] += c
-        e2 = e + d
-        if e2 <= order:
-            out[e2 - lo] -= c if eps > 0 else -c
-    return TruncatedLaurentSeries(lo, order, tuple(out))
+    c = s.coeffs
+    n = len(c)  # the window keeps its length: both ends move by min(0, d)
+    combine = sub if eps > 0 else add
+    if d >= 0:
+        # out[i] = c[i] - eps*c[i-d]
+        out = list(c)
+        if d < n:
+            out[d:] = map(combine, out[d:], c[:n - d])
+    else:
+        # out[i] = c[i+d] - eps*c[i]
+        lag = min(-d, n)
+        out = map(combine, (0,) * lag + c[:n - lag], c)
+    return TruncatedLaurentSeries(lo, order, tuple(out), s.den)
 
 
 def pochhammer_finite(a: SignedMonomial, step: int, n: int, order: int) -> TruncatedLaurentSeries:

@@ -1,133 +1,148 @@
-"""Exact truncated Laurent series over arbitrary-precision rationals.
+"""Exact truncated Laurent series with integer numerators over one common
+denominator.
 
 A series is stored densely on an integer exponent window [min_exp, order]
-and is known modulo q^(order+1).  Truncation order is data: every operation
-computes the tightest order that is sound for its inputs, so precision loss
-is visible rather than silent.  All coefficient arithmetic is exact.
+and is known modulo q^(order+1).  The coefficients are `coeffs[i] / den`,
+with `coeffs` a tuple of ints and `den` a positive int.  The form is
+normalised: gcd(den, *coeffs) == 1 and the zero series has den == 1, so two
+series are equal exactly when their orders, denominators and nonzero
+numerators agree.  Nearly every series qid builds has integer
+coefficients, so den == 1 is the fast path; only den != 1 pays for a gcd
+pass.  `Fraction` appears only at the boundary: `from_terms`, `scale`,
+`coefficient`, `nonzero_terms` and `repr`.
+
+Truncation order is data: every operation computes the tightest order that
+is sound for its inputs, so precision loss is visible rather than silent.
+All coefficient arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul
 
 from .errors import NotInvertibleError, TruncationError
 
-Rat = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-# Below this size schoolbook convolution beats big-integer packing.
+# Below this many nonzeros schoolbook convolution beats big-integer packing.
 _SMALL_CONV = 16
 
 
-def _pack(coeffs: list[int], bits: int) -> int:
-    x = 0
-    for c in reversed(coeffs):
-        x = (x << bits) + c
-    return x
+def _offsets(width: int, n: int) -> int:
+    """half = 2^(8*width-1) in each of n digits of width bytes."""
+    return int.from_bytes((b"\x00" * (width - 1) + b"\x80") * n, "little")
 
 
-def _unpack(x: int, bits: int, n: int) -> list[int]:
-    full = 1 << bits
-    half = full >> 1
-    mask = full - 1
-    out = []
-    for _ in range(n):
-        d = x & mask
-        if d >= half:
-            d -= full
-            x += full
-        out.append(d)
-        x >>= bits
-    return out
+def _pack(coeffs, width: int, half: int) -> int:
+    """sum coeffs[i] * 256^(width*i), for |coeffs[i]| < half = 2^(8*width-1).
+
+    Each coefficient is written as the offset digit c + half, which lies in
+    [0, 2*half); one `int.from_bytes` reads them all and one subtraction of
+    the offsets restores the signed value.
+    """
+    digits = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(digits, "little") - _offsets(width, len(coeffs))
 
 
-def _convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
+def _unpack(x: int, width: int, half: int, n: int) -> list[int]:
+    """The n lowest signed digits of x in base 256^width, each of absolute
+    value < half.  Adding half to every digit makes all of them
+    nonnegative, so no carry crosses a digit boundary and the bytes of the
+    sum can be cut apart directly."""
+    nbytes = width * n
+    low = (x + _offsets(width, n)) & ((1 << (8 * nbytes)) - 1)
+    raw = low.to_bytes(nbytes, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, nbytes, width)]
+
+
+def _convolve_int(a, b, n_out: int) -> list[int]:
     """First n_out coefficients of the product of two integer polynomials.
 
-    Uses Kronecker substitution (pack into one big integer, multiply,
-    unpack with balanced digits) so the cost is one big-int multiply.
+    Uses Kronecker substitution (see Harvey, "Faster polynomial
+    multiplication via multipoint Kronecker substitution", 2009): both
+    lists are packed into one big integer each with byte-aligned digits
+    wide enough for every product coefficient, so the cost is one big-int
+    multiply plus linear packing.  Below _SMALL_CONV nonzeros in either
+    operand a row-wise schoolbook product is used instead.
     """
     out = [0] * n_out
-    if not a or not b or n_out <= 0:
+    if n_out <= 0:
         return out
-    nnz_a = sum(1 for c in a if c)
-    nnz_b = sum(1 for c in b if c)
+    square = a is b  # x*x is cheaper than x*y in CPython
+    a = a[:n_out]
+    b = b[:n_out]
+    nnz_a = len(a) - a.count(0)
+    nnz_b = len(b) - b.count(0)
     if nnz_a == 0 or nnz_b == 0:
         return out
     if min(nnz_a, nnz_b) <= _SMALL_CONV:
         if nnz_a > nnz_b:
             a, b = b, a
         for i, ai in enumerate(a):
-            if ai and i < n_out:
-                for j, bj in enumerate(b[: n_out - i]):
-                    if bj:
-                        out[i + j] += ai * bj
+            if ai:
+                k = min(len(b), n_out - i)
+                out[i:i + k] = map(add, out[i:i + k], map(mul, b[:k], repeat(ai)))
         return out
-    max_a = max(abs(c) for c in a)
-    max_b = max(abs(c) for c in b)
+    max_a = max(max(a), -min(a))
+    max_b = max(max(b), -min(b))
     bound = min(len(a), len(b)) * max_a * max_b
-    bits = bound.bit_length() + 2
-    prod = _pack(a, bits) * _pack(b, bits)
-    return _unpack(prod, bits, n_out)
+    # |every coefficient| <= bound < half = 2^(8*width - 1)
+    width = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+    x = _pack(a, width, half)
+    prod = x * x if square else x * _pack(b, width, half)
+    return _unpack(prod, width, half, n_out)
 
 
-def _to_int_scaled(coeffs) -> tuple[list[int], int]:
-    """Clear denominators; return (integer coefficients, common denominator)."""
-    den = 1
-    for c in coeffs:
-        d = c.denominator if isinstance(c, Fraction) else 1
-        if d != 1:
-            den = lcm(den, d)
-    if den == 1:
-        return [int(c) for c in coeffs], 1
-    return [int(c * den) for c in coeffs], den
+def _invert_int(u, n_out: int) -> tuple[list[int], int]:
+    """Inverse of the integer power series u (u[0] != 0) through n_out
+    coefficients, as (numerators, denominator), by Newton iteration
+    x <- x * (2 - u*x) on x = X/D: X' = X * (2D - u*X), D' = D^2.
 
-
-def _mul_list(a, b, n_out: int) -> list[Fraction]:
-    """First n_out coefficients of the product of two rational coefficient lists."""
-    ia, da = _to_int_scaled(a)
-    ib, db = _to_int_scaled(b)
-    raw = _convolve_int(ia, ib, n_out)
-    d = da * db
-    if d == 1:
-        return [Fraction(c) for c in raw]
-    return [Fraction(c, d) for c in raw]
-
-
-def _invert_list(c, n_out: int) -> list[Fraction]:
-    """Inverse of a power series given by coefficient list c (c[0] != 0),
-    correct through n_out coefficients, by Newton iteration."""
-    x = [1 / Fraction(c[0])]
+    D ends as |u[0]|^(2^steps) <= |u[0]|^(2*n_out), which the caller's
+    series normalises."""
+    x, d = ([1], u[0]) if u[0] > 0 else ([-1], -u[0])
     k = 1
     while k < n_out:
         k = min(2 * k, n_out)
-        cx = _mul_list(c[:k], x, k)
-        # x <- x * (2 - c*x)
-        corr = [-t for t in cx]
-        corr[0] += 2
-        x = _mul_list(x, corr, k)
-    return x
+        corr = _convolve_int(u, x, k)
+        corr = [-t for t in corr]
+        corr[0] += 2 * d
+        x = _convolve_int(x, corr, k)
+        d *= d
+    return x, d
 
 
 @dataclass(frozen=True, eq=False)
 class TruncatedLaurentSeries:
-    """Dense exact-rational Laurent series known modulo q^(order+1).
+    """Dense exact Laurent series known modulo q^(order+1).
 
-    coeffs[i] is the coefficient of q^(min_exp + i).  An empty window
-    (order == min_exp - 1) means "known to be O(q^(order+1)) only".
+    coeffs[i] / den is the coefficient of q^(min_exp + i).  An empty window
+    (order == min_exp - 1) means "known to be O(q^(order+1)) only".  A den
+    other than 1 is normalised on construction (den > 0, gcd 1).
     """
 
     min_exp: int
     order: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
         if len(self.coeffs) != self.order - self.min_exp + 1:
             raise ValueError("coefficient window does not match [min_exp, order]")
+        den = self.den
+        if den != 1:
+            if den == 0:
+                raise ZeroDivisionError("series denominator is zero")
+            g = gcd(den, *self.coeffs)
+            if den < 0:
+                g = -g
+            object.__setattr__(self, "coeffs", tuple(c // g for c in self.coeffs))
+            object.__setattr__(self, "den", den // g)
 
     # -- constructors -------------------------------------------------------
 
@@ -135,10 +150,14 @@ class TruncatedLaurentSeries:
     def from_terms(cls, terms: dict[int, Fraction | int], order: int) -> "TruncatedLaurentSeries":
         terms = {e: Fraction(c) for e, c in terms.items() if e <= order and c != 0}
         if not terms:
-            return cls(0, order, tuple(_ZERO for _ in range(order + 1))) if order >= 0 \
+            return cls(0, order, (0,) * (order + 1)) if order >= 0 \
                 else cls(order + 1, order, ())
+        den = lcm(*(c.denominator for c in terms.values()))
         lo = min(min(terms), 0)
-        return cls(lo, order, tuple(terms.get(e, _ZERO) for e in range(lo, order + 1)))
+        nums = [0] * (order - lo + 1)
+        for e, c in terms.items():
+            nums[e - lo] = c.numerator * (den // c.denominator)
+        return cls(lo, order, tuple(nums), den)
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedLaurentSeries":
@@ -158,11 +177,11 @@ class TruncatedLaurentSeries:
         if n > self.order:
             raise TruncationError(f"coefficient of q^{n} is beyond truncation order {self.order}")
         if n < self.min_exp:
-            return _ZERO
-        return self.coeffs[n - self.min_exp]
+            return Fraction(0)
+        return Fraction(self.coeffs[n - self.min_exp], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def lowest_nonzero(self) -> int | None:
         for i, c in enumerate(self.coeffs):
@@ -170,13 +189,17 @@ class TruncatedLaurentSeries:
                 return self.min_exp + i
         return None
 
-    def nonzero_terms(self) -> dict[int, Fraction]:
+    def _nonzero_numerators(self) -> dict[int, int]:
         return {self.min_exp + i: c for i, c in enumerate(self.coeffs) if c}
+
+    def nonzero_terms(self) -> dict[int, Fraction]:
+        return {e: Fraction(c, self.den) for e, c in self._nonzero_numerators().items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedLaurentSeries):
             return NotImplemented
-        return self.order == other.order and self.nonzero_terms() == other.nonzero_terms()
+        return (self.order == other.order and self.den == other.den
+                and self._nonzero_numerators() == other._nonzero_numerators())
 
     def __repr__(self):
         terms = self.nonzero_terms()
@@ -199,16 +222,22 @@ class TruncatedLaurentSeries:
         n = order - lo + 1
         if n <= 0:
             return TruncatedLaurentSeries(order + 1, order, ())
-        out = [_ZERO] * n
+        den = lcm(self.den, other.den)
+        out = [0] * n
         for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                e = s.min_exp + i
-                if e <= order:
-                    out[e - lo] += c
-        return TruncatedLaurentSeries(lo, order, tuple(out))
+            off = s.min_exp - lo
+            k = min(len(s.coeffs), n - off)
+            if k <= 0:
+                continue
+            src = s.coeffs[:k]
+            if s.den != den:
+                src = [c * (den // s.den) for c in src]
+            out[off:off + k] = map(add, out[off:off + k], src)
+        return TruncatedLaurentSeries(lo, order, tuple(out), den)
 
     def __neg__(self) -> "TruncatedLaurentSeries":
-        return TruncatedLaurentSeries(self.min_exp, self.order, tuple(-c for c in self.coeffs))
+        return TruncatedLaurentSeries(self.min_exp, self.order,
+                                      tuple(-c for c in self.coeffs), self.den)
 
     def __sub__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
         return self + (-other)
@@ -219,16 +248,19 @@ class TruncatedLaurentSeries:
         n = order - lo + 1
         if n <= 0:
             return TruncatedLaurentSeries(order + 1, order, ())
-        out = _mul_list(list(self.coeffs), list(other.coeffs), n)
-        return TruncatedLaurentSeries(lo, order, tuple(out))
+        out = _convolve_int(self.coeffs, other.coeffs, n)
+        return TruncatedLaurentSeries(lo, order, tuple(out), self.den * other.den)
 
     def scale(self, c: Fraction | int) -> "TruncatedLaurentSeries":
         c = Fraction(c)
-        return TruncatedLaurentSeries(self.min_exp, self.order, tuple(c * x for x in self.coeffs))
+        num = c.numerator
+        return TruncatedLaurentSeries(self.min_exp, self.order,
+                                      tuple(num * x for x in self.coeffs),
+                                      self.den * c.denominator)
 
     def shift(self, r: int) -> "TruncatedLaurentSeries":
         """Exact multiplication by q^r."""
-        return TruncatedLaurentSeries(self.min_exp + r, self.order + r, self.coeffs)
+        return TruncatedLaurentSeries(self.min_exp + r, self.order + r, self.coeffs, self.den)
 
     def invert(self) -> "TruncatedLaurentSeries":
         """Inverse b with self*b = 1 + O(q^(M+1)), M = order - 2e, where
@@ -237,8 +269,10 @@ class TruncatedLaurentSeries:
         if e is None:
             raise NotInvertibleError("not invertible at this truncation: all-zero window")
         unit = self.coeffs[e - self.min_exp :]  # power-series part, constant term nonzero
-        inv = _invert_list(list(unit), len(unit))
-        return TruncatedLaurentSeries(-e, self.order - 2 * e, tuple(inv))
+        inv, d = _invert_int(unit, len(unit))
+        if self.den != 1:
+            inv = [self.den * c for c in inv]
+        return TruncatedLaurentSeries(-e, self.order - 2 * e, tuple(inv), d)
 
     def substitute_power(self, m: int) -> "TruncatedLaurentSeries":
         """q -> q^m (m >= 1): exponent e becomes m*e."""
@@ -246,10 +280,9 @@ class TruncatedLaurentSeries:
             raise ValueError("substitution power must be >= 1")
         lo = m * self.min_exp
         order = m * self.order + (m - 1)
-        out = [_ZERO] * (order - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[m * i] = c
-        return TruncatedLaurentSeries(lo, order, tuple(out))
+        out = [0] * (order - lo + 1)
+        out[::m] = self.coeffs
+        return TruncatedLaurentSeries(lo, order, tuple(out), self.den)
 
     def pow(self, n: int) -> "TruncatedLaurentSeries":
         if n < 0:
@@ -275,26 +308,4 @@ class TruncatedLaurentSeries:
         n = new_order - self.min_exp + 1
         if n <= 0:
             return TruncatedLaurentSeries(new_order + 1, new_order, ())
-        return TruncatedLaurentSeries(self.min_exp, new_order, self.coeffs[:n])
-
-
-# Functional aliases matching the operation-level API.
-
-def series_add(a, b):
-    return a + b
-
-
-def series_mul(a, b):
-    return a * b
-
-
-def series_invert(a):
-    return a.invert()
-
-
-def series_substitute_power(a, m):
-    return a.substitute_power(m)
-
-
-def series_coefficient(a, n):
-    return a.coefficient(n)
+        return TruncatedLaurentSeries(self.min_exp, new_order, self.coeffs[:n], self.den)

@@ -96,7 +96,7 @@ def test_cube_decomposition_instantiations():
 
 
 def test_window_stability_sweep():
-    # the runtime window assertions raise AssertionError if the adaptive
+    # the runtime window checks raise WindowUnstableError if the adaptive
     # bilateral truncation were unsound; exercise a spread of shapes
     specs = [
         AppellLerchSpec(ONE, 4, SM(1, 3)),

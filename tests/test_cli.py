@@ -122,3 +122,22 @@ def test_registry_flag_and_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QID_REGISTRY", str(reg))
     code, out, _ = run(capsys, "suite")
     assert code == 0 and "only" in out
+
+
+def test_upto_bound(capsys):
+    code, out, err = run(capsys, "coeffs", "B", "--upto", "1001")
+    assert (code, out) == (2, "")
+    assert err.strip() == "--upto 1001 exceeds the maximum order 1000"
+
+
+def test_order_bound(capsys):
+    for argv in (["verify", "nath-das-1.10"], ["suite", "--tier", "core"],
+                 ["verify", "--expr", "f1", "--expr", "f1"]):
+        code, out, err = run(capsys, *argv, "--order", "1001")
+        assert (code, out) == (2, ""), argv
+        assert err.strip() == "--order 1001 exceeds the maximum order 1000"
+
+    # the bound itself is accepted
+    code, _, _ = run(capsys, "verify", "--expr", "q", "--expr", "q",
+                     "--order", "1000")
+    assert code == 0
