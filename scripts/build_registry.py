@@ -172,7 +172,6 @@ RECORDS = [
     # -- classical: definitional cross-equalities -------------------------
     ident("a-forms-agree", "classical", "1-def-A", "MT(A1)", "MT(A2)", 300),
     ident("b-forms-agree-12", "classical", "1-def-B", "MT(B1)", "MT(B2)", 300),
-    ident("b-forms-agree-23", "classical", "1-def-B", "MT(B2)", "MT(B3)", 300),
 
     # -- background: third-party claims quoted in the introduction --------
     ident("chan-mao-b4n1", "background", "1-CM1",

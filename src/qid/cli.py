@@ -23,10 +23,12 @@ _COEFF_ALIASES = {"A": "A1", "B": "B1", "MU2": "MU2"}
 
 _EXIT = {"pass": 0, "fail": 1, "error": 2}
 
-#: Largest `--order` (verify, suite) and `--upto` (coeffs) accepted.  Direct
-#: summation grows about as N^3 in time, so an unbounded order could hang
-#: the machine; every registry record (at most 300) and every benchmark
-#: listing (at most 500) stays below this.
+#: Largest `--order` (verify, suite) and `--upto` (coeffs) accepted.  Work
+#: grows faster than linearly in the order (direct summation takes about N^2
+#: coefficient steps, series products more, on coefficients that grow with
+#: N), so an unbounded order could hang the machine or run it out of
+#: memory; every registry record (at most 300) and every benchmark listing
+#: (at most 500) stays below this.
 MAX_ORDER = 1000
 
 

@@ -25,7 +25,7 @@ from .dissection import dissect_extract
 from .errors import QidError
 from .mock_theta import mock_theta_series
 from .outcome import VerificationOutcome, compare_series
-from .qproducts import (EtaExpression, eta_expression, eta_f,
+from .qproducts import (EtaExpression, eta_expression, eta_f, eta_power,
                         pochhammer_finite, theta_j)
 from .series import TruncatedLaurentSeries
 
@@ -50,6 +50,8 @@ def _eval(e, n: int) -> TruncatedLaurentSeries:
             return _eval(a, n) * _eval(b, n).invert()
         case dsl.Neg(a):
             return -_eval(a, n)
+        case dsl.Pow(dsl.F(k), power):
+            return eta_power(k, power, max(n, 0))
         case dsl.Pow(a, k):
             return _eval(a, n).pow(k)
         case dsl.AL(x, base, z):

@@ -1,79 +1,83 @@
 """Direct summation of the defining q-series of the second-order mock
-theta functions A(q), B(q), mu2(q).
+theta functions A(q), B(q), mu2(q) (McIntosh, "Second order mock theta
+functions", Canad. Math. Bull. 50, 2007).
 
-Each outer term is evaluated literally as
-(finite Pochhammer numerator) * q^shift * invert(finite Pochhammer
-denominator) in exact series arithmetic; this module is the independent
+Every selector is a sum over n >= 0 of
+
+    sign^n * q^shift(n) * (a; q^2)_n / (b; q^2)_(n+k)^p
+
+with a, b signed monomials, k in {0, 1} and p in {1, 2}.  The power-series
+part T_n = (a; q^2)_n / (b; q^2)_(n+k)^p is carried from term to term:
+T_(n+1) is T_n times one numerator binomial (1 - a*q^(2n)) and divided p
+times by one denominator binomial (1 - b*q^(2(n+k))), each an exact O(N)
+pass in integers.  Term n is needed only through q^(order - shift(n)), so
+the window shrinks as n grows.  Every summand is still the literal
+defining term, never a closed form, so this module stays the independent
 oracle the Appell-Lerch and eta-quotient representations are checked
-against, so no closed-form shortcuts are taken.  The outer sum stops once
-a term's exact minimal exponent exceeds the truncation order.
+against.  The outer sum stops once shift(n) exceeds the truncation order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
-from .qproducts import SignedMonomial, pochhammer_finite
+from .qproducts import SignedMonomial, div_one_minus, mul_one_minus
 from .series import TruncatedLaurentSeries
 
-#: selector -> (minimal exponent of term n)
-_MIN_EXP = {
-    "A1": lambda n: (n + 1) ** 2,
-    "A2": lambda n: n + 1,
-    "B1": lambda n: n * (n + 1),
-    "B2": lambda n: n,
-    "B3": lambda n: n,
-    "MU2": lambda n: n * n,
+_Q = SignedMonomial(1, 1)      # q
+_MQ = SignedMonomial(-1, 1)    # -q
+_MQ2 = SignedMonomial(-1, 2)   # -q^2
+
+#: selector -> (shift, a, b, k, p, sign) for the terms
+#: sign^n * q^shift(n) * (a; q^2)_n / (b; q^2)_(n+k)^p
+_FORMS = {
+    "A1": (lambda n: (n + 1) ** 2, _MQ, _Q, 1, 2, 1),
+    "A2": (lambda n: n + 1, _MQ2, _Q, 1, 1, 1),
+    "B1": (lambda n: n * (n + 1), _MQ2, _Q, 1, 2, 1),
+    "B2": (lambda n: n, _MQ, _Q, 1, 1, 1),
+    "MU2": (lambda n: n * n, _Q, _MQ2, 0, 2, -1),
 }
 
-SELECTORS = tuple(_MIN_EXP)
+SELECTORS = tuple(_FORMS)
 
 _cache: dict[str, TruncatedLaurentSeries] = {}
 
 
-def _term(sel: str, n: int, order: int) -> TruncatedLaurentSeries:
-    mq = SignedMonomial(-1, 1)     # -q
-    mq2 = SignedMonomial(-1, 2)    # -q^2
-    pq = SignedMonomial(1, 1)      # q
-    if sel == "A1":
-        num = pochhammer_finite(mq, 2, n, order)
-        den = pochhammer_finite(pq, 2, n + 1, order).invert().pow(2)
-        shift = (n + 1) ** 2
-    elif sel == "A2":
-        num = pochhammer_finite(mq2, 2, n, order)
-        den = pochhammer_finite(pq, 2, n + 1, order).invert()
-        shift = n + 1
-    elif sel == "B1":
-        num = pochhammer_finite(mq2, 2, n, order)
-        den = pochhammer_finite(pq, 2, n + 1, order).invert().pow(2)
-        shift = n * (n + 1)
-    elif sel in ("B2", "B3"):
-        num = pochhammer_finite(mq, 2, n, order)
-        den = pochhammer_finite(pq, 2, n + 1, order).invert()
-        shift = n
-    elif sel == "MU2":
-        num = pochhammer_finite(pq, 2, n, order).scale((-1) ** n)
-        den = pochhammer_finite(mq2, 2, n, order).invert().pow(2)
-        shift = n * n
-    else:
-        raise ValueError(f"unknown mock theta selector {sel!r}")
-    return (num * den).shift(shift)
+def _divide(t: TruncatedLaurentSeries, b: SignedMonomial, j: int, p: int) -> TruncatedLaurentSeries:
+    """t / (1 - b*q^(2j))^p."""
+    for _ in range(p):
+        t = div_one_minus(t, b.sign, b.exp + 2 * j)
+    return t
+
+
+def _summed(sel: str, order: int) -> TruncatedLaurentSeries:
+    shift_of, a, b, k, p, sign = _FORMS[sel]
+    total = [0] * (order + 1)
+    shift = shift_of(0)
+    t = TruncatedLaurentSeries.one(order - shift)
+    for j in range(k):
+        t = _divide(t, b, j, p)
+    n = 0
+    while shift <= order:
+        combine = sub if sign < 0 and n % 2 else add
+        total[shift:] = map(combine, total[shift:], t.coeffs)
+        shift = shift_of(n + 1)
+        # T_n -> T_(n+1), on the window term n+1 needs
+        t = mul_one_minus(t.truncate(order - shift), a.sign, a.exp + 2 * n)
+        t = _divide(t, b, n + k, p)
+        n += 1
+    return TruncatedLaurentSeries(0, order, tuple(total))
 
 
 def mock_theta_series(sel: str, order: int) -> TruncatedLaurentSeries:
-    if sel not in _MIN_EXP:
+    if sel not in _FORMS:
         raise ValueError(f"unknown mock theta selector {sel!r}")
     if order < 0:
         raise ValueError("order must be nonnegative")
     cached = _cache.get(sel)
     if cached is None or cached.order < order:
-        total = TruncatedLaurentSeries.zero(order)
-        min_exp = _MIN_EXP[sel]
-        n = 0
-        while min_exp(n) <= order:
-            total = total + _term(sel, n, order)
-            n += 1
-        _cache[sel] = cached = total
+        _cache[sel] = cached = _summed(sel, order)
     return cached.truncate(order)
 
 

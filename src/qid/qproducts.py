@@ -64,6 +64,20 @@ def mul_one_minus(s: TruncatedLaurentSeries, eps: int, d: int) -> TruncatedLaure
     return TruncatedLaurentSeries(lo, order, tuple(out), s.den)
 
 
+def div_one_minus(s: TruncatedLaurentSeries, eps: int, d: int) -> TruncatedLaurentSeries:
+    """Divide s by the exact binomial (1 - eps*q^d), d >= 1.
+
+    1/(1 - eps*q^d) is a power series with constant term 1, so the window
+    is kept: y[i] = x[i] + eps*y[i-d], done one block of d at a time."""
+    if d < 1:
+        raise ValueError("div_one_minus needs d >= 1")
+    combine = add if eps > 0 else sub
+    out = list(s.coeffs)
+    for i in range(d, len(out), d):
+        out[i:i + d] = map(combine, out[i:i + d], out[i - d:i])
+    return TruncatedLaurentSeries(s.min_exp, s.order, tuple(out), s.den)
+
+
 def pochhammer_finite(a: SignedMonomial, step: int, n: int, order: int) -> TruncatedLaurentSeries:
     """The finite product prod_{j=0}^{n-1} (1 - a*q^(step*j)), truncated."""
     if step < 1:

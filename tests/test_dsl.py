@@ -40,10 +40,10 @@ def test_rational_literals():
 def test_signed_monomial_arguments():
     e = parse("AL(-q^3, 36, -q^0)")
     assert e == AL(SignedMonomial(-1, 3), 36, SignedMonomial(-1, 0))
-    e = parse("MT(B3)")
-    assert e == MT("B3")
-    e = parse("EXTRACT(MT(B3), 3, 0)")
-    assert e == Extract(MT("B3"), 3, 0)
+    e = parse("MT(B2)")
+    assert e == MT("B2")
+    e = parse("EXTRACT(MT(B2), 3, 0)")
+    assert e == Extract(MT("B2"), 3, 0)
 
 
 def test_negative_exponents():

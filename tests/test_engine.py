@@ -8,7 +8,7 @@ from qid import (IdentityRecord, check_congruence, eval_expr, expr_to_eta,
                  load_registry, report_json, run_suite, verify)
 from qid.dsl import parse
 from qid.engine import check_parity_characterization
-from qid.qproducts import eta_expression_eval
+from qid.qproducts import _eta_power_cache, eta_expression_eval, eta_f
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +45,10 @@ def test_eval_examples():
     s = eval_expr(parse("f1"), 7)
     assert s.nonzero_terms() == {0: 1, 1: -1, 2: -1, 5: 1, 7: 1}
 
-    s = eval_expr(parse("MT(B3)"), 1)
+    s = eval_expr(parse("MT(B2)"), 1)
     assert [s.coefficient(i) for i in range(2)] == [1, 2]
 
-    s = eval_expr(parse("EXTRACT(MT(B3), 3, 0)"), 1)
+    s = eval_expr(parse("EXTRACT(MT(B2), 3, 0)"), 1)
     assert [s.coefficient(i) for i in range(2)] == [1, 6]
 
 
@@ -152,3 +152,12 @@ def test_load_registry_rejects_bad_tier(tmp_path):
         {"id": "x", "tier": "bogus", "lhs": "q", "rhs": "q"}]}))
     with pytest.raises(QidError):
         load_registry(p)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 65, 200])
+def test_eta_powers_use_cache(n):
+    _eta_power_cache.clear()
+    got = eval_expr(parse("f3^-7*f2^5"), n)
+    want = eta_f(3, n).pow(-7) * eta_f(2, n).pow(5)
+    assert got == want and got.order == want.order == n
+    assert {(3, -7), (2, 5)} <= _eta_power_cache.keys()

@@ -1,8 +1,14 @@
 """Direct summation of the three second-order series and their agreement."""
 
-import pytest
+import hashlib
+from fractions import Fraction
 
-from qid import SELECTORS, mock_theta_coefficient, mock_theta_series
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qid import SELECTORS, mock_theta, mock_theta_coefficient, mock_theta_series
+from qid.cli import main
 
 
 def test_pinned_coefficients():
@@ -26,7 +32,6 @@ def test_coefficient_accessor():
 
 def test_multi_form_agreement_300():
     assert mock_theta_series("B1", 300) == mock_theta_series("B2", 300)
-    assert mock_theta_series("B2", 300) == mock_theta_series("B3", 300)
     assert mock_theta_series("A1", 300) == mock_theta_series("A2", 300)
 
 
@@ -50,4 +55,92 @@ def test_parity_characterization_300():
 
 
 def test_selectors_cover_all_forms():
-    assert set(SELECTORS) == {"A1", "A2", "B1", "B2", "B3", "MU2"}
+    assert set(SELECTORS) == {"A1", "A2", "B1", "B2", "MU2"}
+
+
+# SHA-256 of `qid coeffs SEL --upto 300`, pinned before the oracle was
+# rewritten to carry each term from n to n+1.
+_COEFFS_300_SHA256 = {
+    "A1": "473d218783bee8245cc7277c92c38d7139d5f89e42568da2f702680874600e1b",
+    "A2": "473d218783bee8245cc7277c92c38d7139d5f89e42568da2f702680874600e1b",
+    "B1": "fce3af0da6056b53e8332c13bdf316648ce099e6b4fbd9e7b6d17f53be02f102",
+    "B2": "fce3af0da6056b53e8332c13bdf316648ce099e6b4fbd9e7b6d17f53be02f102",
+    "MU2": "03c9871b2004f7c8b55a55d0c91e0f9301aa80973e060bb7abcad254a315a5f9",
+}
+
+
+@pytest.mark.parametrize("sel", sorted(_COEFFS_300_SHA256))
+def test_coeffs_300_sha256(sel, capsys):
+    assert main(["coeffs", sel, "--upto", "300"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _COEFFS_300_SHA256[sel]
+    s = mock_theta_series(sel, 300)
+    assert (s.min_exp, s.order, len(s.coeffs), s.den) == (0, 300, 301, 1)
+
+
+def _times_binomial(c, eps, d):
+    """c * (1 - eps*q^d) on a coefficient list, truncated to its length."""
+    return [c[i] - eps * c[i - d] if i >= d else c[i] for i in range(len(c))]
+
+
+def _times_geometric(c, eps, d):
+    """c / (1 - eps*q^d) = c * sum_k eps^k q^(d*k), truncated."""
+    return [sum(Fraction(eps) ** k * c[i - d * k] for k in range(i // d + 1))
+            for i in range(len(c))]
+
+
+def _reference_term(sel, n):
+    """(sign, q-power, numerator binomials, denominator binomials) of the
+    n-th defining term (McIntosh, "Second order mock theta functions",
+    2007); a binomial (eps, d) is 1 - eps*q^d."""
+    odd = [2 * j + 1 for j in range(n + 1)]  # (q; q^2)_(n+1)
+    even = [2 * j + 2 for j in range(n)]     # (q^2; q^2)_n
+    if sel == "A1":
+        return 1, (n + 1) ** 2, [(-1, d) for d in odd[:n]], [(1, d) for d in odd] * 2
+    if sel == "A2":
+        return 1, n + 1, [(-1, d) for d in even], [(1, d) for d in odd]
+    if sel == "B1":
+        return 1, n * (n + 1), [(-1, d) for d in even], [(1, d) for d in odd] * 2
+    if sel == "B2":
+        return 1, n, [(-1, d) for d in odd[:n]], [(1, d) for d in odd]
+    assert sel == "MU2"
+    return (-1) ** n, n * n, [(1, d) for d in odd[:n]], [(-1, d) for d in even] * 2
+
+
+def _reference_series(sel, order):
+    """Literal summation in Fractions: every term is its numerator
+    Pochhammer product times one geometric series per denominator factor."""
+    total = [Fraction(0)] * (order + 1)
+    n = 0
+    while True:
+        sign, shift, num, den = _reference_term(sel, n)
+        if shift > order:
+            return total
+        term = [Fraction(sign)] + [Fraction(0)] * (order - shift)
+        for eps, d in num:
+            term = _times_binomial(term, eps, d)
+        for eps, d in den:
+            term = _times_geometric(term, eps, d)
+        for i, c in enumerate(term):
+            total[shift + i] += c
+        n += 1
+
+
+@given(st.sampled_from(SELECTORS), st.integers(0, 40))
+@settings(max_examples=40, deadline=None)
+def test_matches_fraction_reference(sel, order):
+    s = mock_theta_series(sel, order)
+    assert [s.coefficient(i) for i in range(order + 1)] == _reference_series(sel, order)
+
+
+@pytest.mark.parametrize("sel", SELECTORS)
+def test_cache_growth_matches_fresh(sel):
+    mock_theta._cache.clear()
+    first = mock_theta_series(sel, 50)
+    grown = mock_theta_series(sel, 300)
+    shrunk = mock_theta_series(sel, 100)
+    mock_theta._cache.clear()
+    assert shrunk == mock_theta_series(sel, 100)
+    assert first == mock_theta_series(sel, 50)
+    mock_theta._cache.clear()
+    assert grown == mock_theta_series(sel, 300)

@@ -8,6 +8,7 @@ import pytest
 from qid import (SignedMonomial, ThetaVanishesError, TruncatedLaurentSeries,
                  eta_expression, eta_expression_eval, eta_f, pochhammer_finite,
                  theta_j)
+from qid.qproducts import div_one_minus, mul_one_minus
 
 S = TruncatedLaurentSeries
 
@@ -125,3 +126,20 @@ def test_theta_j_jacobi_triple_product_random():
         assert theta_j(z, base, 200) == bilateral_theta_sum(z, base, 200), \
             (sign, exp, base)
         done += 1
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 40])
+def test_div_one_minus_inverts_mul_one_minus(eps, d):
+    s = S.from_terms({-3: Fraction(1, 6), -1: Fraction(-5, 4), 0: 2,
+                      4: Fraction(7, 3), 11: -9}, 20)
+    assert s.den != 1 and s.min_exp == -3
+    assert div_one_minus(mul_one_minus(s, eps, d), eps, d) == s
+    geometric = S.from_terms({d * k: eps ** k for k in range(24 // d + 1)}, 24)
+    assert div_one_minus(s, eps, d) == s * geometric
+
+
+def test_div_one_minus_rejects_nonpositive_power():
+    for d in (0, -1, -5):
+        with pytest.raises(ValueError):
+            div_one_minus(S.one(5), 1, d)
