@@ -12,22 +12,21 @@ runtime on every evaluation (WindowUnstableError otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonGenericParameterError, QidError, WindowUnstableError
 from .outcome import VerificationOutcome, compare_series
 from .qproducts import SignedMonomial, eta_f, theta_j
+from .record import Record
 from .series import TruncatedLaurentSeries
 
 
-@dataclass(frozen=True)
-class AppellLerchSpec:
-    x: SignedMonomial
-    base: int
-    z: SignedMonomial
+class AppellLerchSpec(Record):
+    """m(x, q^base, z) for signed monomials x and z."""
 
-    def __post_init__(self):
+    __slots__ = __match_args__ = ("x", "base", "z")
+
+    def _check(self):
         if self.base < 1:
             raise ValueError("base must be positive")
         if self.x.sign * self.z.sign == 1 and (self.x.exp + self.z.exp) % self.base == 0:

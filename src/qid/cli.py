@@ -32,9 +32,14 @@ _EXIT = {"pass": 0, "fail": 1, "error": 2}
 MAX_ORDER = 1000
 
 
-def _above_max_order(flag: str, value: int | None) -> bool:
-    """Report and return True when value exceeds MAX_ORDER."""
-    if value is not None and value > MAX_ORDER:
+def _order_out_of_range(flag: str, value: int | None) -> bool:
+    """Report and return True when value is negative or exceeds MAX_ORDER."""
+    if value is None:
+        return False
+    if value < 0:
+        print(f"{flag} must be nonnegative", file=sys.stderr)
+        return True
+    if value > MAX_ORDER:
         print(f"{flag} {value} exceeds the maximum order {MAX_ORDER}",
               file=sys.stderr)
         return True
@@ -59,7 +64,7 @@ def _print_outcome(name, out):
 
 
 def cmd_verify(args) -> int:
-    if _above_max_order("--order", args.order):
+    if _order_out_of_range("--order", args.order):
         return 2
     if args.expr:
         if len(args.expr) != 2:
@@ -99,10 +104,10 @@ def cmd_coeffs(args) -> int:
         print(f"unknown series {args.series!r}; choose from "
               f"{', '.join(choices)}", file=sys.stderr)
         return 2
-    if args.upto < 0:
-        print("--upto must be nonnegative", file=sys.stderr)
+    if _order_out_of_range("--upto", args.upto):
         return 2
-    if _above_max_order("--upto", args.upto):
+    if args.mod is not None and args.mod < 1:
+        print("--mod must be positive", file=sys.stderr)
         return 2
     series = mock_theta_series(sel, args.upto)
     for n in range(args.upto + 1):
@@ -115,7 +120,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    if _above_max_order("--order", args.order):
+    if _order_out_of_range("--order", args.order):
         return 2
     try:
         records = _resolve_registry(args)

@@ -23,102 +23,76 @@ substitution q -> q^m.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
 from .mock_theta import SELECTORS
 from .qproducts import SignedMonomial
+from .record import Record
 
 
 # -- AST --------------------------------------------------------------------
+# Fields are child nodes, ints, the Fraction of a Lit, the SignedMonomial
+# arguments of AL/J/P, or the selector string of an MT.
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Q:
-    pass
+class Lit(Record):
+    __slots__ = __match_args__ = ("value",)
 
 
-@dataclass(frozen=True)
-class F:
-    k: int
+class Q(Record):
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class F(Record):
+    __slots__ = __match_args__ = ("k",)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Add(Record):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Sub(Record):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
+class Mul(Record):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: object
+class Div(Record):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exp: int
+class Neg(Record):
+    __slots__ = __match_args__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class AL:
-    x: SignedMonomial
-    base: int
-    z: SignedMonomial
+class Pow(Record):
+    __slots__ = __match_args__ = ("base", "exp")
 
 
-@dataclass(frozen=True)
-class J:
-    z: SignedMonomial
-    base: int
+class AL(Record):
+    __slots__ = __match_args__ = ("x", "base", "z")
 
 
-@dataclass(frozen=True)
-class P:
-    a: SignedMonomial
-    step: int
-    n: int
+class J(Record):
+    __slots__ = __match_args__ = ("z", "base")
 
 
-@dataclass(frozen=True)
-class MT:
-    sel: str
+class P(Record):
+    __slots__ = __match_args__ = ("a", "step", "n")
 
 
-@dataclass(frozen=True)
-class Extract:
-    expr: object
-    m: int
-    r: int
+class MT(Record):
+    __slots__ = __match_args__ = ("sel",)
 
 
-@dataclass(frozen=True)
-class Subst:
-    expr: object
-    m: int
+class Extract(Record):
+    __slots__ = __match_args__ = ("expr", "m", "r")
+
+
+class Subst(Record):
+    __slots__ = __match_args__ = ("expr", "m")
 
 
 CALL_NAMES = ("AL", "J", "P", "MT", "EXTRACT", "SUBST")

@@ -14,10 +14,9 @@ as transcription findings rather than suite failures.
 from __future__ import annotations
 
 import json
+import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 from . import dsl
 from .appell_lerch import AppellLerchSpec, appell_lerch_m
@@ -27,6 +26,7 @@ from .mock_theta import mock_theta_series
 from .outcome import VerificationOutcome, compare_series
 from .qproducts import (EtaExpression, eta_expression, eta_f, eta_power,
                         pochhammer_finite, theta_j)
+from .record import Record
 from .series import TruncatedLaurentSeries
 
 TIERS = ("core", "classical", "background")
@@ -142,39 +142,32 @@ def expr_to_eta(e) -> EtaExpression:
     return eta_expression(terms)
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
-    id: str
-    tier: str
-    anchor: str
-    kind: str = "identity"
-    lhs: str = ""
-    rhs: str = ""
-    default_order: int = 200
-    series: str = ""
-    step: int = 0
-    residue: int = 0
-    modulus: int = 0
-    count: int = 0
+class IdentityRecord(Record):
+    __slots__ = __match_args__ = (
+        "id", "tier", "anchor", "kind", "lhs", "rhs", "default_order",
+        "series", "step", "residue", "modulus", "count")
+    _defaults = {"kind": "identity", "lhs": "", "rhs": "",
+                 "default_order": 200, "series": "", "step": 0,
+                 "residue": 0, "modulus": 0, "count": 0}
+
+
+#: the bundled registry, read from the package directory
+REGISTRY_PATH = os.path.join(os.path.dirname(__file__), "data", "registry.json")
 
 
 def load_registry(path=None) -> list[IdentityRecord]:
-    if path is None:
-        raw = resources.files("qid").joinpath("data/registry.json").read_text()
-    else:
-        with open(path) as fh:
-            raw = fh.read()
-    doc = json.loads(raw)
+    with open(REGISTRY_PATH if path is None else path, encoding="utf-8") as fh:
+        doc = json.load(fh)
     records = []
     for entry in doc["records"]:
+        # positional, in field order: the fast path of Record.__init__
         rec = IdentityRecord(
-            id=entry["id"], tier=entry["tier"], anchor=entry.get("anchor", ""),
-            kind=entry.get("kind", "identity"),
-            lhs=entry.get("lhs", ""), rhs=entry.get("rhs", ""),
-            default_order=entry.get("order", 200),
-            series=entry.get("series", ""), step=entry.get("step", 0),
-            residue=entry.get("residue", 0), modulus=entry.get("modulus", 0),
-            count=entry.get("count", 0))
+            entry["id"], entry["tier"], entry.get("anchor", ""),
+            entry.get("kind", "identity"),
+            entry.get("lhs", ""), entry.get("rhs", ""), entry.get("order", 200),
+            entry.get("series", ""), entry.get("step", 0),
+            entry.get("residue", 0), entry.get("modulus", 0),
+            entry.get("count", 0))
         if rec.tier not in TIERS:
             raise QidError(f"record {rec.id}: unknown tier {rec.tier!r}")
         records.append(rec)
@@ -249,11 +242,8 @@ def verify(rec: IdentityRecord, order: int | None = None) -> VerificationOutcome
         return VerificationOutcome("error", -1, None, str(exc))
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    record: IdentityRecord
-    outcome: VerificationOutcome
-    elapsed_ms: float
+class SuiteResult(Record):
+    __slots__ = __match_args__ = ("record", "outcome", "elapsed_ms")
 
 
 def run_suite(records, tier_filter: str | None = None,

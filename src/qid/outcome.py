@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
+from .record import Record
 from .series import TruncatedLaurentSeries
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
-    status: str  # "pass" | "fail" | "error"
-    compared_order: int
-    first_mismatch: tuple[int, Fraction, Fraction] | None = None
-    message: str = ""
+class VerificationOutcome(Record):
+    """status is "pass", "fail" or "error"; first_mismatch is
+    (exponent, lhs coefficient, rhs coefficient) exactly when it is "fail"."""
 
-    def __post_init__(self):
+    __slots__ = __match_args__ = ("status", "compared_order",
+                                  "first_mismatch", "message")
+    _defaults = {"first_mismatch": None, "message": ""}
+
+    def _check(self):
         if (self.status == "fail") != (self.first_mismatch is not None):
             raise ValueError("first_mismatch must be present exactly when status is 'fail'")
 

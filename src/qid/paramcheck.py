@@ -12,12 +12,12 @@ that is expanded and checked exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import UnsupportedEtaIndexError
 from .outcome import VerificationOutcome, compare_series
 from .qproducts import EtaExpression, EtaMonomial, eta_expression_eval
+from .record import Record
 from .series import TruncatedLaurentSeries
 
 _F = Fraction
@@ -26,16 +26,11 @@ _F = Fraction
 SLOTS = ("2", "p", "1-p", "1+p", "1+2p", "2+p", "k", "q")
 
 
-@dataclass(frozen=True)
-class ParamVector:
-    e2: Fraction
-    ep: Fraction
-    e1m: Fraction
-    e1p: Fraction
-    e12p: Fraction
-    e2p: Fraction
-    ek: Fraction
-    eq: Fraction
+class ParamVector(Record):
+    """Fraction exponents over the slots (2, p, 1-p, 1+p, 1+2p, 2+p, k, q)."""
+
+    __slots__ = __match_args__ = ("e2", "ep", "e1m", "e1p", "e12p", "e2p",
+                                  "ek", "eq")
 
     def as_tuple(self):
         return (self.e2, self.ep, self.e1m, self.e1p, self.e12p, self.e2p,
@@ -79,11 +74,11 @@ def param_vector_of_term(t: EtaMonomial) -> ParamVector:
     return vec
 
 
-@dataclass(frozen=True)
-class PPolynomial:
+class PPolynomial(Record):
     """Exact polynomial in p with rational coefficients, trailing zeros trimmed."""
 
-    coeffs: tuple[Fraction, ...] = ()
+    __slots__ = __match_args__ = ("coeffs",)
+    _defaults = {"coeffs": ()}
 
     @classmethod
     def make(cls, coeffs) -> "PPolynomial":
@@ -137,12 +132,12 @@ _BASE_POLYS = (
 )
 
 
-@dataclass(frozen=True)
-class ParamProofOutcome:
-    status: str  # "ProvedZero" | "NotZero" | "NonUniform" | "NonIntegral"
-    detail: str = ""
-    polynomial: PPolynomial | None = None
-    numeric_report: tuple = field(default_factory=tuple)
+class ParamProofOutcome(Record):
+    """status is "ProvedZero", "NotZero", "NonUniform" or "NonIntegral"."""
+
+    __slots__ = __match_args__ = ("status", "detail", "polynomial",
+                                  "numeric_report")
+    _defaults = {"detail": "", "polynomial": None, "numeric_report": ()}
 
     @property
     def proved(self) -> bool:

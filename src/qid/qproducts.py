@@ -9,24 +9,22 @@ inflated internal order and end exactly at the requested one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, sub
 
 from .errors import ThetaVanishesError
+from .record import Record
 from .series import TruncatedLaurentSeries
 
 _CACHE_STEP = 64
 
 
-@dataclass(frozen=True)
-class SignedMonomial:
+class SignedMonomial(Record):
     """eps * q^exp with eps in {+1, -1}."""
 
-    sign: int
-    exp: int
+    __slots__ = __match_args__ = ("sign", "exp")
 
-    def __post_init__(self):
+    def _check(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
@@ -127,24 +125,23 @@ def eta_power(k: int, e: int, order: int) -> TruncatedLaurentSeries:
     return cached.truncate(order)
 
 
-@dataclass(frozen=True)
-class EtaMonomial:
-    """coeff * q^qpow * prod_k f_k^(e_k); exps holds no zero exponents."""
+class EtaMonomial(Record):
+    """coeff * q^qpow * prod_k f_k^(e_k); exps holds no zero exponents.
 
-    coeff: Fraction
-    qpow: int
-    exps: tuple[tuple[int, int], ...]
+    coeff is a Fraction, exps a tuple of (k, e_k) pairs."""
 
-    def __post_init__(self):
+    __slots__ = __match_args__ = ("coeff", "qpow", "exps")
+
+    def _check(self):
         if any(e == 0 for _, e in self.exps):
             raise ValueError("EtaMonomial exponent map must not contain zeros")
 
 
-@dataclass(frozen=True)
-class EtaExpression:
-    """A finite sum of EtaMonomial terms; the empty sum is zero."""
+class EtaExpression(Record):
+    """A finite sum of EtaMonomial terms (a tuple); the empty sum is zero."""
 
-    terms: tuple[EtaMonomial, ...] = field(default_factory=tuple)
+    __slots__ = __match_args__ = ("terms",)
+    _defaults = {"terms": ()}
 
 
 def eta_monomial(coeff, qpow: int, exps: dict[int, int]) -> EtaMonomial:

@@ -18,13 +18,13 @@ All coefficient arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
 
 from .errors import NotInvertibleError, TruncationError
+from .record import Record
 
 # Below this many nonzeros schoolbook convolution beats big-integer packing.
 _SMALL_CONV = 16
@@ -117,32 +117,34 @@ def _invert_int(u, n_out: int) -> tuple[list[int], int]:
     return x, d
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedLaurentSeries:
+class TruncatedLaurentSeries(Record):
     """Dense exact Laurent series known modulo q^(order+1).
 
-    coeffs[i] / den is the coefficient of q^(min_exp + i).  An empty window
-    (order == min_exp - 1) means "known to be O(q^(order+1)) only".  A den
-    other than 1 is normalised on construction (den > 0, gcd 1).
+    coeffs[i] / den is the coefficient of q^(min_exp + i), with coeffs a
+    tuple of ints.  An empty window (order == min_exp - 1) means "known to
+    be O(q^(order+1)) only".  A den other than 1 is normalised on
+    construction (den > 0, gcd 1).  Series are immutable; they are not
+    hashable, since defining __eq__ here drops Record.__hash__.
     """
 
-    min_exp: int
-    order: int
-    coeffs: tuple[int, ...]
-    den: int = 1
+    __slots__ = __match_args__ = ("min_exp", "order", "coeffs", "den")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order - self.min_exp + 1:
+    def __init__(self, min_exp: int, order: int, coeffs: tuple[int, ...], den: int = 1):
+        if len(coeffs) != order - min_exp + 1:
             raise ValueError("coefficient window does not match [min_exp, order]")
-        den = self.den
         if den != 1:
             if den == 0:
                 raise ZeroDivisionError("series denominator is zero")
-            g = gcd(den, *self.coeffs)
+            g = gcd(den, *coeffs)
             if den < 0:
                 g = -g
-            object.__setattr__(self, "coeffs", tuple(c // g for c in self.coeffs))
-            object.__setattr__(self, "den", den // g)
+            coeffs = tuple(c // g for c in coeffs)
+            den //= g
+        set_min_exp, set_order, set_coeffs, set_den = self._setters
+        set_min_exp(self, min_exp)
+        set_order(self, order)
+        set_coeffs(self, coeffs)
+        set_den(self, den)
 
     # -- constructors -------------------------------------------------------
 

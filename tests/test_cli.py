@@ -61,6 +61,14 @@ def test_coeffs(capsys):
     code, out, _ = run(capsys, "coeffs", "B", "--upto", "3", "--mod", "2")
     assert out.splitlines() == ["0 1", "1 0", "2 0", "3 0"]
 
+    code, out, _ = run(capsys, "coeffs", "B", "--upto", "2", "--mod", "1")
+    assert (code, out.splitlines()) == (0, ["0 0", "1 0", "2 0"])
+
+    for mod in ("0", "-3"):
+        code, out, err = run(capsys, "coeffs", "B", "--upto", "3", "--mod", mod)
+        assert (code, out) == (2, ""), mod
+        assert err.strip() == "--mod must be positive"
+
     code, _, err = run(capsys, "coeffs", "Z", "--upto", "3")
     assert code == 2
 
@@ -129,6 +137,10 @@ def test_upto_bound(capsys):
     assert (code, out) == (2, "")
     assert err.strip() == "--upto 1001 exceeds the maximum order 1000"
 
+    code, out, err = run(capsys, "coeffs", "B", "--upto", "-1")
+    assert (code, out) == (2, "")
+    assert err.strip() == "--upto must be nonnegative"
+
 
 def test_order_bound(capsys):
     for argv in (["verify", "nath-das-1.10"], ["suite", "--tier", "core"],
@@ -136,6 +148,10 @@ def test_order_bound(capsys):
         code, out, err = run(capsys, *argv, "--order", "1001")
         assert (code, out) == (2, ""), argv
         assert err.strip() == "--order 1001 exceeds the maximum order 1000"
+
+        code, out, err = run(capsys, *argv, "--order", "-1")
+        assert (code, out) == (2, ""), argv
+        assert err.strip() == "--order must be nonnegative"
 
     # the bound itself is accepted
     code, _, _ = run(capsys, "verify", "--expr", "q", "--expr", "q",
