@@ -1,5 +1,4 @@
-"""The Appell-Lerch sum m(x,q,z) for signed-monomial x and z, and the
-instantiated change-of-z and cubic decomposition identities.
+"""The Appell-Lerch sum m(x,q,z) for signed-monomial x and z.
 
 m(x,Q,z) = (-z / j(z;Q)) * sum_r (-1)^r Q^(r(r+1)/2) z^r / (1 - x z Q^r),
 with Q = q^base.  Every summand denominator 1 - eps*q^d is expanded
@@ -12,11 +11,8 @@ runtime on every evaluation (WindowUnstableError otherwise).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import NonGenericParameterError, QidError, WindowUnstableError
-from .outcome import VerificationOutcome, compare_series
-from .qproducts import SignedMonomial, eta_f, theta_j
+from .errors import NonGenericParameterError, WindowUnstableError
+from .qproducts import SignedMonomial, theta_j
 from .record import Record
 from .series import TruncatedLaurentSeries
 
@@ -130,71 +126,3 @@ def appell_lerch_m(spec: AppellLerchSpec, order: int) -> TruncatedLaurentSeries:
 
     return (pf * ssum).truncate(order)
 
-
-def _with_order(build, order: int, attempts: int = 8) -> TruncatedLaurentSeries:
-    """Evaluate build(n) with growing n until the result order reaches order."""
-    pad = 0
-    for _ in range(attempts):
-        s = build(order + pad)
-        if s.order >= order:
-            return s.truncate(order)
-        pad += (order - s.order) + 4
-    raise QidError(f"could not reach truncation order {order}")
-
-
-def change_z_identity_check(x: SignedMonomial, base: int, z1: SignedMonomial,
-                            z0: SignedMonomial, order: int) -> VerificationOutcome:
-    """m(x,Q,z1) - m(x,Q,z0) against the theta-quotient right-hand side."""
-    if z1 == z0:
-        return VerificationOutcome("pass", order, None,
-                                   "z1 = z0: both sides vanish identically")
-    try:
-        lhs = appell_lerch_m(AppellLerchSpec(x, base, z1), order) \
-            - appell_lerch_m(AppellLerchSpec(x, base, z0), order)
-
-        def rhs_at(n: int) -> TruncatedLaurentSeries:
-            num = eta_f(base, n).pow(3) \
-                * theta_j(z1.times(z0.inverse()), base, n) \
-                * theta_j(x.times(z0).times(z1), base, n)
-            den = theta_j(z0, base, n) * theta_j(z1, base, n) \
-                * theta_j(x.times(z0), base, n) * theta_j(x.times(z1), base, n)
-            return num.scale(z0.sign).shift(z0.exp) * den.invert()
-
-        rhs = _with_order(rhs_at, order)
-    except QidError as exc:
-        return VerificationOutcome("error", order, None, str(exc))
-    return compare_series(lhs, rhs)
-
-
-def cube_decomposition_check(x: SignedMonomial, base: int,
-                             order: int) -> VerificationOutcome:
-    """m(x,Q,-1) against its decomposition into three m(.,Q^9,-1) values
-    plus an eta/theta correction, instantiated at x = eps*q^a, Q = q^base."""
-    a, ex = x.exp, x.sign
-    minus_one = SignedMonomial(-1, 0)
-    try:
-        lhs = appell_lerch_m(AppellLerchSpec(x, base, minus_one), order)
-
-        def rhs_at(n: int) -> TruncatedLaurentSeries:
-            b9 = 9 * base
-            m1 = appell_lerch_m(
-                AppellLerchSpec(SignedMonomial(ex, 3 * a + 3 * base), b9, minus_one), n)
-            m2 = appell_lerch_m(
-                AppellLerchSpec(SignedMonomial(ex, 3 * a), b9, minus_one), n + abs(a - base) + 1)
-            m3 = appell_lerch_m(
-                AppellLerchSpec(SignedMonomial(ex, 3 * a - 3 * base), b9, minus_one),
-                n + abs(2 * a - 3 * base) + 1)
-            total = m1 \
-                + m2.scale(-ex).shift(a - base) \
-                + m3.shift(2 * a - 3 * base)
-            num = eta_f(base, n) * eta_f(3 * base, n).pow(2) * eta_f(6 * base, n) \
-                * eta_f(9 * base, n) * theta_j(SignedMonomial(1, 2 * a + base), 2 * base, n)
-            den = eta_f(2 * base, n).pow(2) * eta_f(18 * base, n).pow(2) \
-                * theta_j(SignedMonomial(-ex, 3 * a), 3 * base, n)
-            corr = num.scale(Fraction(ex, 2)).shift(a - base) * den.invert()
-            return total + corr
-
-        rhs = _with_order(rhs_at, order)
-    except QidError as exc:
-        return VerificationOutcome("error", order, None, str(exc))
-    return compare_series(lhs, rhs)

@@ -47,8 +47,14 @@ def _order_out_of_range(flag: str, value: int | None) -> bool:
 
 
 def _resolve_registry(args):
+    """The records of --registry, $QID_REGISTRY or the bundled registry; on
+    an unreadable or malformed file, report why and return None (exit 2)."""
     path = getattr(args, "registry", None) or os.environ.get("QID_REGISTRY")
-    return engine.load_registry(path)
+    try:
+        return engine.load_registry(path)
+    except (OSError, QidError, json.JSONDecodeError) as exc:
+        print(f"cannot load registry: {exc}", file=sys.stderr)
+        return None
 
 
 def _print_outcome(name, out):
@@ -80,7 +86,10 @@ def cmd_verify(args) -> int:
             print("verify requires an identity id or --expr pairs",
                   file=sys.stderr)
             return 2
-        registry = {r.id: r for r in _resolve_registry(args)}
+        records = _resolve_registry(args)
+        if records is None:
+            return 2
+        registry = {r.id: r for r in records}
         missing = [i for i in args.id if i not in registry]
         if missing:
             print(f"unknown identity id(s): {', '.join(missing)}",
@@ -122,10 +131,8 @@ def cmd_coeffs(args) -> int:
 def cmd_suite(args) -> int:
     if _order_out_of_range("--order", args.order):
         return 2
-    try:
-        records = _resolve_registry(args)
-    except (OSError, QidError, json.JSONDecodeError) as exc:
-        print(f"cannot load registry: {exc}", file=sys.stderr)
+    records = _resolve_registry(args)
+    if records is None:
         return 2
     results = engine.run_suite(records, tier_filter=args.tier,
                                order=args.order)
@@ -192,6 +199,8 @@ def cmd_param_check(args) -> int:
 
 def cmd_list(args) -> int:
     records = _resolve_registry(args)
+    if records is None:
+        return 2
     for r in sorted(records, key=lambda r: r.id):
         print(f"{r.id:28s} {r.tier:10s} {r.anchor}")
     return 0

@@ -292,10 +292,6 @@ def parse(src: str):
     return _Parser(src).parse()
 
 
-def _sm_text(sm: SignedMonomial) -> str:
-    return ("-" if sm.sign < 0 else "") + (f"q^{sm.exp}" if sm.exp != 1 else "q")
-
-
 def print_expr(e) -> str:
     """Render an AST so that parse(print_expr(e)) == e (fully parenthesized)."""
     match e:
@@ -319,11 +315,11 @@ def print_expr(e) -> str:
         case Pow(a, n):
             return f"{print_expr(a)}^{n}"
         case AL(x, base, z):
-            return f"AL({_sm_text(x)}, {base}, {_sm_text(z)})"
+            return f"AL({x}, {base}, {z})"
         case J(z, base):
-            return f"J({_sm_text(z)}, {base})"
+            return f"J({z}, {base})"
         case P(a, step, n):
-            return f"P({_sm_text(a)}, {step}, {n})"
+            return f"P({a}, {step}, {n})"
         case MT(sel):
             return f"MT({sel})"
         case Extract(inner, m, r):

@@ -24,8 +24,8 @@ from .dissection import dissect_extract
 from .errors import QidError
 from .mock_theta import mock_theta_series
 from .outcome import VerificationOutcome, compare_series
-from .qproducts import (EtaExpression, eta_expression, eta_f, eta_power,
-                        pochhammer_finite, theta_j)
+from .qproducts import (EtaExpression, SignedMonomial, eta_expression, eta_f,
+                        eta_power, pochhammer_finite, theta_j)
 from .record import Record
 from .series import TruncatedLaurentSeries
 
@@ -75,7 +75,10 @@ def eval_expr(e, order: int) -> TruncatedLaurentSeries:
 
     Inner divisions and Laurent factors can lose order; the loss is a fixed
     structural constant of the expression, so re-evaluating with the
-    measured deficit as padding converges in a couple of rounds.
+    measured deficit as padding converges in a couple of rounds.  This is
+    the package's only order padding: every identity, including the
+    change-of-z and cube-decomposition templates below, reaches its
+    requested order here.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -158,16 +161,23 @@ REGISTRY_PATH = os.path.join(os.path.dirname(__file__), "data", "registry.json")
 def load_registry(path=None) -> list[IdentityRecord]:
     with open(REGISTRY_PATH if path is None else path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
+        raise QidError("registry lacks a 'records' list")
     records = []
-    for entry in doc["records"]:
-        # positional, in field order: the fast path of Record.__init__
-        rec = IdentityRecord(
-            entry["id"], entry["tier"], entry.get("anchor", ""),
-            entry.get("kind", "identity"),
-            entry.get("lhs", ""), entry.get("rhs", ""), entry.get("order", 200),
-            entry.get("series", ""), entry.get("step", 0),
-            entry.get("residue", 0), entry.get("modulus", 0),
-            entry.get("count", 0))
+    for i, entry in enumerate(doc["records"]):
+        if not isinstance(entry, dict):
+            raise QidError(f"registry record {i} is not an object")
+        try:
+            # positional, in field order: the fast path of Record.__init__
+            rec = IdentityRecord(
+                entry["id"], entry["tier"], entry.get("anchor", ""),
+                entry.get("kind", "identity"),
+                entry.get("lhs", ""), entry.get("rhs", ""), entry.get("order", 200),
+                entry.get("series", ""), entry.get("step", 0),
+                entry.get("residue", 0), entry.get("modulus", 0),
+                entry.get("count", 0))
+        except KeyError as exc:
+            raise QidError(f"registry record {i} lacks the key {exc}") from None
         if rec.tier not in TIERS:
             raise QidError(f"record {rec.id}: unknown tier {rec.tier!r}")
         records.append(rec)
@@ -240,6 +250,57 @@ def verify(rec: IdentityRecord, order: int | None = None) -> VerificationOutcome
                                    f"unknown record kind {rec.kind!r}")
     except (QidError, ValueError) as exc:
         return VerificationOutcome("error", -1, None, str(exc))
+
+
+def change_z_exprs(x: SignedMonomial, base: int, z1: SignedMonomial,
+                   z0: SignedMonomial) -> tuple[str, str]:
+    """The change-of-z identity as an (lhs, rhs) pair of DSL strings:
+    m(x,Q,z1) - m(x,Q,z0)
+      = z0 f_base^3 j(z1/z0) j(x z0 z1) / (j(z0) j(z1) j(x z0) j(x z1)),
+    with Q = q^base and every j taken at Q."""
+    def j(z):
+        return f"J({z}, {base})"
+    lhs = f"AL({x}, {base}, {z1}) - AL({x}, {base}, {z0})"
+    rhs = (f"{z0}*f{base}^3*{j(z1.times(z0.inverse()))}*{j(x.times(z0).times(z1))}"
+           f"/({j(z0)}*{j(z1)}*{j(x.times(z0))}*{j(x.times(z1))})")
+    return lhs, rhs
+
+
+def cube_decomposition_exprs(x: SignedMonomial, base: int) -> tuple[str, str]:
+    """The decomposition of m(x,Q,-1) into three m(.,Q^9,-1) values plus an
+    eta/theta correction, at x = eps*q^a and Q = q^base, as an (lhs, rhs)
+    pair of DSL strings."""
+    a, ex = x.exp, x.sign
+    sm = SignedMonomial
+
+    def m9(e):
+        return f"AL({sm(ex, e)}, {9 * base}, -q^0)"
+    lhs = f"AL({x}, {base}, -q^0)"
+    rhs = (f"{m9(3 * a + 3 * base)} + {sm(-ex, a - base)}*{m9(3 * a)}"
+           f" + {sm(1, 2 * a - 3 * base)}*{m9(3 * a - 3 * base)}"
+           f" + ({Fraction(ex, 2)})*{sm(1, a - base)}*f{base}*f{3 * base}^2"
+           f"*f{6 * base}*f{9 * base}*J({sm(1, 2 * a + base)}, {2 * base})"
+           f"/(f{2 * base}^2*f{18 * base}^2*J({sm(-ex, 3 * a)}, {3 * base}))")
+    return lhs, rhs
+
+
+def change_z_identity_check(x: SignedMonomial, base: int, z1: SignedMonomial,
+                            z0: SignedMonomial, order: int) -> VerificationOutcome:
+    """m(x,Q,z1) - m(x,Q,z0) against the theta-quotient right-hand side."""
+    if z1 == z0:  # the rhs factor j(q^0;Q) vanishes, so it cannot be evaluated
+        return VerificationOutcome("pass", order, None,
+                                   "z1 = z0: both sides vanish identically")
+    lhs, rhs = change_z_exprs(x, base, z1, z0)
+    return verify(IdentityRecord(id="change-z", tier="core", anchor="",
+                                 lhs=lhs, rhs=rhs), order)
+
+
+def cube_decomposition_check(x: SignedMonomial, base: int,
+                             order: int) -> VerificationOutcome:
+    """m(x,Q,-1) against its cubic decomposition, instantiated at x, Q = q^base."""
+    lhs, rhs = cube_decomposition_exprs(x, base)
+    return verify(IdentityRecord(id="cube-decomposition", tier="core",
+                                 anchor="", lhs=lhs, rhs=rhs), order)
 
 
 class SuiteResult(Record):

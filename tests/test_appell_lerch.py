@@ -1,13 +1,17 @@
 """Appell-Lerch sums and the instantiated parameter-change identities."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from qid import (AppellLerchSpec, NonGenericParameterError, SignedMonomial,
-                 appell_lerch_m, change_z_identity_check,
+from qid import (AppellLerchSpec, IdentityRecord, NonGenericParameterError,
+                 SignedMonomial, appell_lerch_m, change_z_identity_check,
                  cube_decomposition_check, eta_expression,
-                 eta_expression_eval, mock_theta_series)
+                 eta_expression_eval, load_registry, mock_theta_series,
+                 verify)
+from qid.dsl import parse
+from qid.engine import change_z_exprs, cube_decomposition_exprs, eval_expr
 
 SM = SignedMonomial
 ONE = SM(1, 0)
@@ -110,3 +114,45 @@ def test_window_stability_sweep():
     for spec in specs:
         for order in (0, 1, 17, 60):
             appell_lerch_m(spec, order)
+
+
+def _verify_pair(lhs, rhs, order):
+    return verify(IdentityRecord(id="t", tier="core", anchor="", lhs=lhs,
+                                 rhs=rhs), order)
+
+
+def test_templates_can_fail():
+    lhs, rhs = change_z_exprs(ONE, 4, SM(1, 3), MINUS_ONE)
+    out = _verify_pair(lhs, rhs + " + q^7", 60)
+    assert (out.status, out.first_mismatch[0]) == ("fail", 7)
+
+    lhs, rhs = cube_decomposition_exprs(SM(1, 1), 4)
+    out = _verify_pair(lhs, rhs + " + q^7", 60)
+    assert (out.status, out.first_mismatch[0]) == ("fail", 7)
+
+    # the correction term's coefficient is eps/2; its sign matters
+    lhs, rhs = cube_decomposition_exprs(ONE, 4)
+    assert rhs.count("(1/2)") == 1
+    out = _verify_pair(lhs, rhs.replace("(1/2)", "(-1/2)"), 60)
+    assert out.status == "fail"
+    assert out.first_mismatch == (-4, Fraction(0), Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("rec_id, exprs", [
+    ("al-z-change-b", change_z_exprs(ONE, 4, SM(1, 3), MINUS_ONE)),
+    ("al-z-change-a", change_z_exprs(SM(1, 1), 4, SM(1, 2), MINUS_ONE)),
+    ("al-cube-b", cube_decomposition_exprs(ONE, 4)),
+    ("al-cube-a", cube_decomposition_exprs(SM(1, 1), 4)),
+])
+def test_templates_match_registry(rec_id, exprs):
+    rec = {r.id: r for r in load_registry()}[rec_id]
+    lhs, rhs = exprs
+    assert parse(lhs) == parse(rec.lhs)
+    assert eval_expr(parse(rhs), 150) == eval_expr(parse(rec.rhs), 150)
+
+
+def test_non_generic_draw_is_an_error():
+    # x*z1 = q^0: the summand denominator of m(x, q^4, z1) vanishes at r = 0
+    out = change_z_identity_check(SM(1, 2), 4, SM(1, -2), MINUS_ONE, 30)
+    assert (out.status, out.compared_order) == ("error", -1)
+    assert "non-generic" in out.message

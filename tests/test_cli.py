@@ -157,3 +157,24 @@ def test_order_bound(capsys):
     code, _, _ = run(capsys, "verify", "--expr", "q", "--expr", "q",
                      "--order", "1000")
     assert code == 0
+
+
+
+@pytest.mark.parametrize("text, argv, reason", [
+    ('{"version": 1}', ["suite"], "registry lacks a 'records' list"),
+    ('{"version": 1, "records": [{"tier": "core", "lhs": "q", "rhs": "q"}]}',
+     ["list"], "registry record 0 lacks the key 'id'"),
+    (None, ["verify", "x"], "No such file or directory"),
+    (None, ["list"], "No such file or directory"),
+    ('{"records": 5}', ["verify", "x"], "registry lacks a 'records' list"),
+    ('{"records": ["x"]}', ["suite"], "registry record 0 is not an object"),
+    ('{"records": [', ["list"], "Expecting value"),
+])
+def test_registry_load_errors(tmp_path, capsys, text, argv, reason):
+    reg = tmp_path / "reg.json"
+    if text is not None:
+        reg.write_text(text)
+    code, out, err = run(capsys, *argv, "--registry", str(reg))
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot load registry: ") and reason in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
