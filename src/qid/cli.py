@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import dsl, engine
+from .engine import MAX_ORDER
 from .errors import ParseError, QidError, UnsupportedEtaIndexError
 from .expressions import PARAM_TARGETS
 from .mock_theta import SELECTORS, mock_theta_series
@@ -22,14 +23,6 @@ from .paramcheck import prove_zero
 _COEFF_ALIASES = {"A": "A1", "B": "B1", "MU2": "MU2"}
 
 _EXIT = {"pass": 0, "fail": 1, "error": 2}
-
-#: Largest `--order` (verify, suite) and `--upto` (coeffs) accepted.  Work
-#: grows faster than linearly in the order (direct summation takes about N^2
-#: coefficient steps, series products more, on coefficients that grow with
-#: N), so an unbounded order could hang the machine or run it out of
-#: memory; every registry record (at most 300) and every benchmark listing
-#: (at most 500) stays below this.
-MAX_ORDER = 1000
 
 
 def _order_out_of_range(flag: str, value: int | None) -> bool:

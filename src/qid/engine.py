@@ -24,36 +24,67 @@ from .dissection import dissect_extract
 from .errors import QidError
 from .mock_theta import mock_theta_series
 from .outcome import VerificationOutcome, compare_series
-from .qproducts import (EtaExpression, SignedMonomial, eta_expression, eta_f,
-                        eta_power, pochhammer_finite, theta_j)
+from .qproducts import (EtaExpression, SignedMonomial, eta_expression,
+                        eta_expression_eval, pochhammer_finite, theta_j)
 from .record import Record
 from .series import TruncatedLaurentSeries
 
 TIERS = ("core", "classical", "background")
 
 
-def _eval(e, n: int) -> TruncatedLaurentSeries:
+#: Largest `--order` (verify, suite) and `--upto` (coeffs) the CLI accepts.
+#: Work grows faster than linearly in the order (direct summation takes
+#: about N^2 coefficient steps, series products more, on coefficients that
+#: grow with N), so an unbounded order could hang the machine or run it out
+#: of memory; every registry record (at most 300) and every benchmark
+#: listing (at most 500) stays below this.
+MAX_ORDER = 1000
+
+#: Largest order any step of an evaluation works at.  EXTRACT(e, m, r)
+#: evaluates e at m*n + r, and eval_expr pads the order of Laurent and
+#: Appell-Lerch terms, so inner orders exceed the requested one; the
+#: registry's largest EXTRACT modulus is 6, which stays within this at
+#: MAX_ORDER with room for padding.
+MAX_WORK_ORDER = 8 * MAX_ORDER
+
+
+def _check_work_order(n: int) -> None:
+    if n > MAX_WORK_ORDER:
+        raise QidError(f"evaluation would work at order {n}, "
+                       f"above the limit {MAX_WORK_ORDER}")
+
+
+def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
+    """One evaluation round at working order n.
+
+    forms maps id(node) to the node's EtaExpression, or to None when the
+    subtree is not an eta quotient; eval_expr keeps one map for all its
+    rounds, so each node of the tree it holds is decided once."""
+    _check_work_order(n)
+    key = id(e)
+    if key not in forms:
+        try:
+            forms[key] = expr_to_eta(e)
+        except QidError:
+            forms[key] = None
+    form = forms[key]
+    if form is not None:
+        _check_work_order(
+            n - min((t.qpow for t in form.terms if t.coeff), default=0))
+        return eta_expression_eval(form, n)
     match e:
-        case dsl.Lit(v):
-            return TruncatedLaurentSeries.from_terms({0: v}, max(n, 0))
-        case dsl.Q():
-            return TruncatedLaurentSeries.monomial(1, max(n, 1))
-        case dsl.F(k):
-            return eta_f(k, max(n, 0))
         case dsl.Add(a, b):
-            return _eval(a, n) + _eval(b, n)
+            return _eval(a, n, forms) + _eval(b, n, forms)
         case dsl.Sub(a, b):
-            return _eval(a, n) - _eval(b, n)
+            return _eval(a, n, forms) - _eval(b, n, forms)
         case dsl.Mul(a, b):
-            return _eval(a, n) * _eval(b, n)
+            return _eval(a, n, forms) * _eval(b, n, forms)
         case dsl.Div(a, b):
-            return _eval(a, n) * _eval(b, n).invert()
+            return _eval(a, n, forms) * _eval(b, n, forms).invert()
         case dsl.Neg(a):
-            return -_eval(a, n)
-        case dsl.Pow(dsl.F(k), power):
-            return eta_power(k, power, max(n, 0))
+            return -_eval(a, n, forms)
         case dsl.Pow(a, k):
-            return _eval(a, n).pow(k)
+            return _eval(a, n, forms).pow(k)
         case dsl.AL(x, base, z):
             return appell_lerch_m(AppellLerchSpec(x, base, z), n)
         case dsl.J(z, base):
@@ -63,28 +94,33 @@ def _eval(e, n: int) -> TruncatedLaurentSeries:
         case dsl.MT(sel):
             return mock_theta_series(sel, max(n, 0))
         case dsl.Extract(inner, m, r):
-            return dissect_extract(_eval(inner, m * n + r), m, r)
+            return dissect_extract(_eval(inner, m * n + r, forms), m, r)
         case dsl.Subst(inner, m):
             inner_order = max(-(-(n - m + 1) // m), 0)
-            return _eval(inner, inner_order).substitute_power(m)
+            return _eval(inner, inner_order, forms).substitute_power(m)
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def eval_expr(e, order: int) -> TruncatedLaurentSeries:
     """Evaluate to at least the requested truncation order.
 
-    Inner divisions and Laurent factors can lose order; the loss is a fixed
-    structural constant of the expression, so re-evaluating with the
-    measured deficit as padding converges in a couple of rounds.  This is
-    the package's only order padding: every identity, including the
-    change-of-z and cube-decomposition templates below, reaches its
-    requested order here.
+    Every subtree that is an eta quotient (see expr_to_eta) goes to
+    qproducts.eta_expression_eval as one normal form, which is exact
+    through the order it is asked for.  Elsewhere, inner divisions and
+    Laurent factors can lose order; the loss is a fixed structural
+    constant of the expression, so re-evaluating with the measured deficit
+    as padding converges in a couple of rounds.  This is the package's
+    only order padding: every identity, including the change-of-z and
+    cube-decomposition templates below, reaches its requested order here.
+    No step may work above MAX_WORK_ORDER; such an evaluation raises
+    QidError instead.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     pad = 0
+    forms: dict = {}
     for _ in range(10):
-        s = _eval(e, order + pad)
+        s = _eval(e, order + pad, forms)
         if s.order >= order:
             return s.truncate(order)
         pad += (order - s.order) + 4
@@ -115,11 +151,15 @@ def expr_to_eta(e) -> EtaExpression:
             case dsl.Div(a, b):
                 ca, pa, ea = monomial(a)
                 cb, pb, eb = monomial(b)
+                if not cb:
+                    raise QidError(f"division by zero: {dsl.print_expr(node)}")
                 for k, v in eb.items():
                     ea[k] = ea.get(k, 0) - v
                 return ca / cb, pa - pb, ea
             case dsl.Pow(a, k):
                 c, p, ex = monomial(a)
+                if not c and k < 0:
+                    raise QidError(f"division by zero: {dsl.print_expr(node)}")
                 return c ** k, p * k, {f: v * k for f, v in ex.items()}
         raise QidError(f"not an eta-quotient term: {dsl.print_expr(node)}")
 
@@ -153,6 +193,30 @@ class IdentityRecord(Record):
                  "default_order": 200, "series": "", "step": 0,
                  "residue": 0, "modulus": 0, "count": 0}
 
+    def _check(self):
+        """Each field has its registry JSON type and range; a QidError
+        names the record and the field by its registry key."""
+        name = f"record {self.id}"
+        for key in ("id", "tier", "anchor", "kind", "lhs", "rhs", "series"):
+            if not isinstance(getattr(self, key), str):
+                raise QidError(f"{name}: field '{key}' must be a string")
+        if self.tier not in TIERS:
+            raise QidError(f"{name}: unknown tier {self.tier!r}")
+        for key, value in (("order", self.default_order), ("step", self.step),
+                           ("residue", self.residue),
+                           ("modulus", self.modulus), ("count", self.count)):
+            if type(value) is not int or value < 0:
+                raise QidError(
+                    f"{name}: field '{key}' must be a nonnegative integer")
+        if self.default_order > MAX_ORDER:
+            raise QidError(f"{name}: field 'order' {self.default_order} "
+                           f"exceeds the maximum order {MAX_ORDER}")
+        top = {"congruence": self.step * (self.count - 1) + self.residue,
+               "parity": self.count - 1}.get(self.kind, 0)
+        if top > MAX_ORDER:
+            raise QidError(f"{name}: field 'count' reaches coefficient {top}, "
+                           f"above the maximum order {MAX_ORDER}")
+
 
 #: the bundled registry, read from the package directory
 REGISTRY_PATH = os.path.join(os.path.dirname(__file__), "data", "registry.json")
@@ -178,8 +242,6 @@ def load_registry(path=None) -> list[IdentityRecord]:
                 entry.get("count", 0))
         except KeyError as exc:
             raise QidError(f"registry record {i} lacks the key {exc}") from None
-        if rec.tier not in TIERS:
-            raise QidError(f"record {rec.id}: unknown tier {rec.tier!r}")
         records.append(rec)
     ids = [r.id for r in records]
     if len(ids) != len(set(ids)):

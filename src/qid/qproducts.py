@@ -10,6 +10,7 @@ inflated internal order and end exactly at the requested one.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import add, sub
 
 from .errors import ThetaVanishesError
@@ -91,38 +92,56 @@ def pochhammer_finite(a: SignedMonomial, step: int, n: int, order: int) -> Trunc
     return s.truncate(order)
 
 
-_eta_cache: dict[int, TruncatedLaurentSeries] = {}
-_eta_power_cache: dict[tuple[int, int], TruncatedLaurentSeries] = {}
+#: f_1^e for e >= 1, keyed by e; every entry is known through a multiple
+#: of _CACHE_STEP, and a longer request rebuilds it
+_eta_power_cache: dict[int, TruncatedLaurentSeries] = {}
+
+
+def _f1_power(e: int, order: int) -> TruncatedLaurentSeries:
+    """f_1^e, e >= 1, order >= 0: f_1 is the product of its binomials, and
+    f_1^e is (f_1^(e//2))^2, times f_1 when e is odd, so one request
+    caches O(log e) powers."""
+    cached = _eta_power_cache.get(e)
+    if cached is None or cached.order < order:
+        work = -(-max(order, 1) // _CACHE_STEP) * _CACHE_STEP
+        if e == 1:
+            s = TruncatedLaurentSeries.one(work)
+            for j in range(1, work + 1):
+                s = mul_one_minus(s, 1, j)
+        else:
+            half = _f1_power(e // 2, work)
+            s = half * half
+            if e % 2:
+                s = s * _f1_power(1, work)
+        _eta_power_cache[e] = cached = s
+    return cached.truncate(order)
 
 
 def eta_f(k: int, order: int) -> TruncatedLaurentSeries:
     """f_k = (q^k; q^k)_infinity = prod_{j>=1} (1 - q^(k*j)), truncated."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if order < 0:
-        return TruncatedLaurentSeries.from_terms({}, order)
-    cached = _eta_cache.get(k)
-    if cached is None or cached.order < order:
-        work = -(-max(order, 1) // _CACHE_STEP) * _CACHE_STEP
-        s = TruncatedLaurentSeries.one(work)
-        for e in range(k, work + 1, k):
-            s = mul_one_minus(s, 1, e)
-        _eta_cache[k] = cached = s
-    return cached.truncate(order)
+    return eta_power(k, 1, order)
 
 
 def eta_power(k: int, e: int, order: int) -> TruncatedLaurentSeries:
-    """f_k^e, with negative e via series inversion (no order loss: f_k(0)=1)."""
+    """f_k^e for e >= 0, truncated.
+
+    Only f_1^e is built and cached; f_k^e is f_1^e(q^k), so
+    substitute_power spreads the first order//k coefficients of f_1^e,
+    which costs a copy rather than a product.  Negative powers are not
+    built here: eta_expression_eval inverts one product of positive
+    powers instead.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    if e < 0:
+        raise ValueError("eta_power builds nonnegative powers only")
+    if order < 0:
+        return TruncatedLaurentSeries.from_terms({}, order)
     if e == 0:
         return TruncatedLaurentSeries.one(order)
-    cached = _eta_power_cache.get((k, e))
-    if cached is None or cached.order < order:
-        work = -(-max(order, 1) // _CACHE_STEP) * _CACHE_STEP
-        base = eta_f(k, work)
-        if e < 0:
-            base = base.invert()
-        _eta_power_cache[(k, e)] = cached = base.pow(abs(e))
-    return cached.truncate(order)
+    if k == 1:
+        return _f1_power(e, order)
+    return _f1_power(e, order // k).substitute_power(k).truncate(order)
 
 
 class EtaMonomial(Record):
@@ -154,17 +173,85 @@ def eta_expression(terms) -> EtaExpression:
     return EtaExpression(tuple(eta_monomial(c, p, d) for c, p, d in terms))
 
 
+def _eta_product(exps: dict[int, int], order: int) -> TruncatedLaurentSeries:
+    """prod_k f_k^(e_k), every e_k >= 0, through q^order.
+
+    f_k^e(q) = f_(k/d)^e(q^d) for d dividing k, so factors whose indices
+    share a divisor d are multiplied at order//d and then spread by
+    substitute_power: a product of series d times shorter."""
+    exps = {k: e for k, e in exps.items() if e}
+    if len(exps) <= 1:
+        k, e = next(iter(exps.items()), (1, 0))
+        return eta_power(k, e, order)
+    g = gcd(*exps)
+    if g > 1:
+        return _eta_product({k // g: e for k, e in exps.items()},
+                            order // g).substitute_power(g).truncate(order)
+    # split off the indices divisible by the divisor that most of them
+    # share; g == 1, so neither part is empty
+    d = max(range(2, max(exps) + 1),
+            key=lambda d: sum(k % d == 0 for k in exps))
+    group = {k: e for k, e in exps.items() if k % d == 0}
+    rest = {k: e for k, e in exps.items() if k % d}
+    return _eta_product(rest, order) * _eta_product(group, order)
+
+
+#: the last _RESULTS_KEPT values of eta_expression_eval, keyed by
+#: expression: a dissection check such as
+#: E = sum_r q^r SUBST(EXTRACT(E, m, r), m) evaluates the same E m + 1
+#: times at about the same order
+_results: dict[EtaExpression, TruncatedLaurentSeries] = {}
+_RESULTS_KEPT = 16
+
+
 def eta_expression_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeries:
-    total = TruncatedLaurentSeries.zero(order)
-    for t in expr.terms:
-        inner = order - t.qpow
-        if inner < 0:
-            continue  # the whole term lies beyond the truncation order
-        s = TruncatedLaurentSeries.one(inner)
+    """sum_i c_i q^(a_i) prod_k f_k^(e_ik), exact through q^order.
+
+    The one evaluator of eta quotients, through a normal form.  With
+    A = min a_i and m_k = min(0, min_i e_ik) over the nonzero terms, the
+    sum is U * sum_i c_i q^(a_i - A) prod_k f_k^(e_ik - m_k), where
+    U = q^A prod_k f_k^(m_k).  Every power left in the sum is nonnegative,
+    so it comes from the eta_power cache with small coefficients and
+    needs no inversion; U's negative part costs one inversion of the
+    positive product prod_k f_k^(-m_k).  Each f_k^e has constant term 1,
+    so nothing loses order: the sum is needed through q^(order - A), and
+    the result is known through q^order exactly.  A request at or below
+    the order of a kept result (see _results) is that result, truncated.
+    """
+    cached = _results.get(expr)
+    if cached is not None and cached.order >= order:
+        return cached.truncate(order)
+    s = _normal_form_eval(expr, order)
+    _results.pop(expr, None)
+    if len(_results) >= _RESULTS_KEPT:
+        del _results[next(iter(_results))]
+    _results[expr] = s
+    return s
+
+
+def _normal_form_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeries:
+    terms = [t for t in expr.terms if t.coeff]
+    low_q = min((t.qpow for t in terms), default=0)
+    work = order - low_q
+    if work < 0 or not terms:
+        return TruncatedLaurentSeries.zero(order)
+    low_f: dict[int, int] = {}
+    for t in terms:
         for k, e in t.exps:
-            s = s * eta_power(k, e, inner)
-        total = total + s.scale(t.coeff).shift(t.qpow)
-    return total
+            low_f[k] = min(low_f.get(k, 0), e)
+    total = TruncatedLaurentSeries.zero(work)
+    for t in terms:
+        shift = t.qpow - low_q
+        if shift > work:
+            continue  # the whole term lies beyond the truncation order
+        exps = dict(t.exps)
+        s = _eta_product({k: exps.get(k, 0) - m for k, m in low_f.items()},
+                         work - shift)
+        total = total + s.scale(t.coeff).shift(shift)
+    if any(low_f.values()) and not total.is_zero():
+        total = total * _eta_product(
+            {k: -m for k, m in low_f.items()}, work).invert()
+    return total.shift(low_q)
 
 
 def theta_j(z: SignedMonomial, base: int, order: int) -> TruncatedLaurentSeries:

@@ -86,6 +86,10 @@ def test_param_check(capsys):
     code, _, err = run(capsys, "param-check", "--expr", "f8")
     assert code == 2
 
+    # a zero divisor is not an eta-quotient term: an error, no traceback
+    code, _, err = run(capsys, "param-check", "--expr", "f1/0")
+    assert code == 2 and err.strip() == "error: division by zero: (f1/0)"
+
     code, _, err = run(capsys, "param-check", "NOPE")
     assert code == 2
 
@@ -158,6 +162,14 @@ def test_order_bound(capsys):
                      "--order", "1000")
     assert code == 0
 
+    # inner working orders are bounded too, by engine.MAX_WORK_ORDER: an
+    # EXTRACT operand at m*n + r and the q^-200000 shift of an eta quotient
+    # are error verdicts rather than hours of work
+    for expr in ("EXTRACT(f1, 1000, 0)", "q^-200000*f1"):
+        code, out, _ = run(capsys, "verify", "--expr", expr, "--expr", "0",
+                           "--order", "1000")
+        assert code == 2 and out.startswith("adhoc: error"), expr
+        assert "above the limit 8000" in out, expr
 
 
 @pytest.mark.parametrize("text, argv, reason", [
@@ -169,6 +181,19 @@ def test_order_bound(capsys):
     ('{"records": 5}', ["verify", "x"], "registry lacks a 'records' list"),
     ('{"records": ["x"]}', ["suite"], "registry record 0 is not an object"),
     ('{"records": [', ["list"], "Expecting value"),
+    ('{"records": [{"id": "x", "tier": "core", "order": "x"}]}', ["list"],
+     "record x: field 'order' must be a nonnegative integer"),
+    ('{"records": [{"id": 5, "tier": "core"}]}', ["suite"],
+     "record 5: field 'id' must be a string"),
+    ('{"records": [{"id": "x", "tier": "core", "order": 100000}]}', ["suite"],
+     "record x: field 'order' 100000 exceeds the maximum order 1000"),
+    ('{"records": [{"id": "p", "tier": "core", "kind": "parity",'
+     ' "series": "B1", "count": 5000}]}', ["suite"],
+     "record p: field 'count' reaches coefficient 4999, above the maximum"),
+    ('{"records": [{"id": "c", "tier": "core", "kind": "congruence",'
+     ' "series": "B1", "step": 6, "residue": 3, "modulus": 6,'
+     ' "count": 200}]}', ["suite"],
+     "record c: field 'count' reaches coefficient 1197, above the maximum"),
 ])
 def test_registry_load_errors(tmp_path, capsys, text, argv, reason):
     reg = tmp_path / "reg.json"

@@ -1,6 +1,7 @@
 """Registry loading, expression evaluation and the verification harness."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,9 @@ from qid import (IdentityRecord, check_congruence, eval_expr, expr_to_eta,
                  load_registry, report_json, run_suite, verify)
 from qid.dsl import parse
 from qid.engine import check_parity_characterization
-from qid.qproducts import _eta_power_cache, eta_expression_eval, eta_f
+from qid.qproducts import (_eta_power_cache, _results, eta_expression_eval,
+                           eta_f)
+from qid.series import TruncatedLaurentSeries as S
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +139,15 @@ def test_report_json_shape():
 def test_expr_to_eta_matches_eval():
     src = "f2^7*f3^2/(f1^6*f4*f6) - 3*q*f1^2/f4 + 1/2"
     e = expr_to_eta(parse(src))
-    assert eta_expression_eval(e, 30) == eval_expr(parse(src), 30)
+    got = eta_expression_eval(e, 30)
+    assert got == eval_expr(parse(src), 30)
+    # eval_expr evaluates through expr_to_eta as well, so check both
+    # against the same sum built from series arithmetic
+    f1, f2, f3, f4, f6 = (eta_f(k, 30) for k in (1, 2, 3, 4, 6))
+    want = (f2.pow(7) * f3.pow(2) * (f1.pow(6) * f4 * f6).invert()
+            - (S.monomial(1, 30) * f1.pow(2) * f4.invert()).scale(3)
+            + S.one(30).scale(Fraction(1, 2)))
+    assert got == want and got.order == want.order == 30
 
 
 def test_expr_to_eta_rejects_non_eta():
@@ -157,7 +168,16 @@ def test_load_registry_rejects_bad_tier(tmp_path):
 @pytest.mark.parametrize("n", [0, 1, 63, 65, 200])
 def test_eta_powers_use_cache(n):
     _eta_power_cache.clear()
+    _results.clear()
     got = eval_expr(parse("f3^-7*f2^5"), n)
     want = eta_f(3, n).pow(-7) * eta_f(2, n).pow(5)
     assert got == want and got.order == want.order == n
-    assert {(3, -7), (2, 5)} <= _eta_power_cache.keys()
+    # the normal form needs f2^5 and f3^7 (inverted once), which are f1^5
+    # and f1^7 at q -> q^2, q^3; the cache holds positive powers of f1
+    # only, and a second evaluation rebuilds none of them
+    assert {5, 7} <= _eta_power_cache.keys()
+    assert all(e > 0 for e in _eta_power_cache)
+    built = dict(_eta_power_cache)
+    _results.clear()
+    assert eval_expr(parse("f3^-7*f2^5"), n) == got
+    assert all(_eta_power_cache[key] is s for key, s in built.items())
