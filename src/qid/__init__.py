@@ -14,8 +14,7 @@ from .errors import (NonGenericParameterError, NotInvertibleError, ParseError,
 from .mock_theta import SELECTORS, mock_theta_coefficient, mock_theta_series
 from .outcome import VerificationOutcome, compare_series
 from .paramcheck import (BASE_VECTORS, ParamProofOutcome, ParamVector,
-                         PPolynomial, param_vector_of_term, prove_zero,
-                         series_zero_crosscheck)
+                         PPolynomial, param_vector_of_term, prove_zero)
 from .qproducts import (EtaExpression, EtaMonomial, SignedMonomial,
                         eta_expression, eta_expression_eval, eta_f,
                         eta_monomial, eta_power, pochhammer_finite, theta_j)
@@ -32,7 +31,7 @@ __all__ = [
     "mock_theta_coefficient", "mock_theta_series", "VerificationOutcome",
     "compare_series",
     "BASE_VECTORS", "ParamProofOutcome", "ParamVector", "PPolynomial",
-    "param_vector_of_term", "prove_zero", "series_zero_crosscheck",
+    "param_vector_of_term", "prove_zero",
     "EtaExpression", "EtaMonomial", "SignedMonomial", "eta_expression",
     "eta_expression_eval", "eta_f", "eta_monomial", "eta_power",
     "pochhammer_finite", "theta_j", "TruncatedLaurentSeries",

@@ -14,8 +14,7 @@ import sys
 
 from . import dsl, engine
 from .engine import MAX_ORDER
-from .errors import ParseError, QidError, UnsupportedEtaIndexError
-from .expressions import PARAM_TARGETS
+from .errors import QidError
 from .mock_theta import SELECTORS, mock_theta_series
 from .paramcheck import prove_zero
 
@@ -23,6 +22,10 @@ from .paramcheck import prove_zero
 _COEFF_ALIASES = {"A": "A1", "B": "B1", "MU2": "MU2"}
 
 _EXIT = {"pass": 0, "fail": 1, "error": 2}
+
+#: short names of the split components, aliases of their zero-* records
+_PARAM_ALIASES = {"S0": "zero-s0", "S1": "zero-s1", "H0": "zero-h0",
+                  "H1": "zero-h1", "R0": "zero-r0"}
 
 
 def _order_out_of_range(flag: str, value: int | None) -> bool:
@@ -164,21 +167,25 @@ def cmd_suite(args) -> int:
 
 def cmd_param_check(args) -> int:
     if args.expr is not None:
-        try:
-            e = engine.expr_to_eta(dsl.parse(args.expr))
-        except (ParseError, QidError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    elif args.target in PARAM_TARGETS:
-        e = PARAM_TARGETS[args.target]
-    else:
-        print(f"unknown target {args.target!r}; choose from "
-              f"{', '.join(sorted(PARAM_TARGETS))} or use --expr",
-              file=sys.stderr)
+        src = args.expr
+    elif args.target is None:
+        print("param-check requires an identity id or --expr", file=sys.stderr)
         return 2
+    else:
+        records = _resolve_registry(args)
+        if records is None:
+            return 2
+        rid = _PARAM_ALIASES.get(args.target, args.target)
+        rec = next((r for r in records if r.id == rid), None)
+        if rec is None or rec.kind != "identity":
+            what = "unknown identity id" if rec is None else f"{rec.kind} record"
+            print(f"{what} {rid!r}: param-check takes an identity id, one of "
+                  f"{', '.join(_PARAM_ALIASES)}, or --expr", file=sys.stderr)
+            return 2
+        src = f"({rec.lhs}) - ({rec.rhs})"
     try:
-        outcome = prove_zero(e)
-    except (UnsupportedEtaIndexError, ValueError) as exc:
+        outcome = prove_zero(engine.expr_to_eta(dsl.parse(src)))
+    except (QidError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(outcome.status)
@@ -230,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("param-check",
                        help="symbolic vanishing proof for an eta expression")
-    p.add_argument("target", nargs="?", default=None)
+    p.add_argument("target", nargs="?", default=None,
+                   help="identity id (lhs - rhs is proved zero) or "
+                        f"{', '.join(_PARAM_ALIASES)}")
     p.add_argument("--expr", default=None)
     p.set_defaults(func=cmd_param_check)
 

@@ -97,38 +97,31 @@ class Subst(Record):
 
 CALL_NAMES = ("AL", "J", "P", "MT", "EXTRACT", "SUBST")
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^(),]))")
-
-
-class _Lexer:
-    def __init__(self, src: str):
-        src = src.rstrip()
-        self.src = src
-        self.tokens: list[tuple[str, str, int, int]] = []  # (kind, text, line, col)
-        line, col, pos = 1, 1, 0
-        while pos < len(src):
-            m = _TOKEN_RE.match(src, pos)
-            if not m or m.end() == pos:
-                bad = pos
-                while src[bad].isspace():
-                    bad += 1
-                nl = src.count("\n", 0, bad)
-                col_ = bad - (src.rfind("\n", 0, bad) + 1) + 1
-                raise ParseError(f"unexpected character {src[bad]!r}", nl + 1, col_)
-            ws_end = m.start(m.lastindex)
-            line += src.count("\n", pos, ws_end)
-            last_nl = src.rfind("\n", 0, ws_end)
-            col = ws_end - last_nl if last_nl >= 0 else ws_end + 1
-            kind = ("INT", "NAME", "OP")[m.lastindex - 1]
-            self.tokens.append((kind, m.group(m.lastindex), line, col))
-            pos = m.end()
-        self.tokens.append(("EOF", "", line, col + 1))
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^(),])")
+#: any character no token starts with, other than whitespace
+_BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z\-+*/^(),]")
+_KINDS = ("", "INT", "NAME", "OP")
 
 
 class _Parser:
     def __init__(self, src: str):
-        self.toks = _Lexer(src).tokens
+        self.src = src = src.rstrip()
+        bad = _BAD_CHAR_RE.search(src)
+        if bad:
+            self.fail(f"unexpected character {bad.group()!r}", bad.start())
+        # (kind, text, offset); finditer skips only whitespace, since every
+        # other character starts a token.  An offset becomes a line and a
+        # column only in fail().  End of input sits one past the start of
+        # the last token.
+        self.toks = [(_KINDS[m.lastindex], m.group(), m.start())
+                     for m in _TOKEN_RE.finditer(src)]
+        self.toks.append(("EOF", "", self.toks[-1][2] + 1 if self.toks else 1))
         self.i = 0
+
+    def fail(self, message, offset: int, expected=()):
+        src = self.src
+        raise ParseError(message, src.count("\n", 0, offset) + 1,
+                         offset - src.rfind("\n", 0, offset), expected)
 
     def peek(self, ahead: int = 0):
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -140,13 +133,11 @@ class _Parser:
         return t
 
     def error(self, expected):
-        kind, text, line, col = self.peek()
-        what = text or "end of input"
-        raise ParseError(f"unexpected {what!r}", line, col, expected)
+        kind, text, offset = self.peek()
+        self.fail(f"unexpected {text or 'end of input'!r}", offset, expected)
 
     def expect_op(self, op: str):
-        kind, text, line, col = self.peek()
-        if kind == "OP" and text == op:
+        if self.peek()[:2] == ("OP", op):
             return self.next()
         self.error({f"'{op}'"})
 
@@ -155,7 +146,7 @@ class _Parser:
         if self.peek()[:2] == ("OP", "-"):
             self.next()
             neg = True
-        kind, text, line, col = self.peek()
+        kind, text, _ = self.peek()
         if kind != "INT":
             self.error({"integer"})
         self.next()
@@ -199,7 +190,7 @@ class _Parser:
         return a
 
     def atom(self):
-        kind, text, line, col = self.peek()
+        kind, text, offset = self.peek()
         if kind == "INT":
             self.next()
             # rational literal INT/INT, unless the denominator is powered
@@ -208,7 +199,7 @@ class _Parser:
                 self.next()
                 den = int(self.next()[1])
                 if den == 0:
-                    raise ParseError("zero denominator in rational literal", line, col)
+                    self.fail("zero denominator in rational literal", offset)
                 return Lit(Fraction(int(text), den))
             return Lit(Fraction(int(text)))
         if kind == "NAME":
@@ -250,7 +241,7 @@ class _Parser:
             self.expect_op(",")
             node = P(a, step, self.expect_int())
         elif name == "MT":
-            kind, sel, line, col = self.peek()
+            kind, sel, _ = self.peek()
             if kind != "NAME" or sel not in SELECTORS:
                 self.error({f"'{s}'" for s in SELECTORS})
             self.next()
@@ -262,8 +253,8 @@ class _Parser:
             self.expect_op(",")
             r = self.expect_int()
             if not 0 <= r < m:
-                raise ParseError(f"EXTRACT residue {r} not in [0, {m})",
-                                 *self.peek()[2:])
+                self.fail(f"EXTRACT residue {r} not in [0, {m})",
+                          self.peek()[2])
             node = Extract(e, m, r)
         else:  # SUBST
             e = self.expr()
@@ -277,8 +268,7 @@ class _Parser:
         if self.peek()[:2] == ("OP", "-"):
             self.next()
             sign = -1
-        kind, text, line, col = self.peek()
-        if kind != "NAME" or text != "q":
+        if self.peek()[:2] != ("NAME", "q"):
             self.error({"'q'", "'-q'"})
         self.next()
         exp = 1

@@ -21,11 +21,12 @@ from fractions import Fraction
 from . import dsl
 from .appell_lerch import AppellLerchSpec, appell_lerch_m
 from .dissection import dissect_extract
-from .errors import QidError
+from .errors import NotInvertibleError, QidError
 from .mock_theta import mock_theta_series
 from .outcome import VerificationOutcome, compare_series
-from .qproducts import (EtaExpression, SignedMonomial, eta_expression,
-                        eta_expression_eval, pochhammer_finite, theta_j)
+from .qproducts import (MAX_WORK_ORDER, EtaExpression, SignedMonomial,
+                        check_work_order, eta_expression, eta_expression_eval,
+                        pochhammer_finite, theta_j)
 from .record import Record
 from .series import TruncatedLaurentSeries
 
@@ -40,27 +41,13 @@ TIERS = ("core", "classical", "background")
 #: listing (at most 500) stays below this.
 MAX_ORDER = 1000
 
-#: Largest order any step of an evaluation works at.  EXTRACT(e, m, r)
-#: evaluates e at m*n + r, and eval_expr pads the order of Laurent and
-#: Appell-Lerch terms, so inner orders exceed the requested one; the
-#: registry's largest EXTRACT modulus is 6, which stays within this at
-#: MAX_ORDER with room for padding.
-MAX_WORK_ORDER = 8 * MAX_ORDER
-
-
-def _check_work_order(n: int) -> None:
-    if n > MAX_WORK_ORDER:
-        raise QidError(f"evaluation would work at order {n}, "
-                       f"above the limit {MAX_WORK_ORDER}")
-
-
 def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
     """One evaluation round at working order n.
 
     forms maps id(node) to the node's EtaExpression, or to None when the
     subtree is not an eta quotient; eval_expr keeps one map for all its
     rounds, so each node of the tree it holds is decided once."""
-    _check_work_order(n)
+    check_work_order(n)
     key = id(e)
     if key not in forms:
         try:
@@ -69,9 +56,11 @@ def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
             forms[key] = None
     form = forms[key]
     if form is not None:
-        _check_work_order(
-            n - min((t.qpow for t in form.terms if t.coeff), default=0))
-        return eta_expression_eval(form, n)
+        # through its lowest term at least, so that a divisor above q^n is
+        # not all zero
+        low = min((t.qpow for t in form.terms if t.coeff), default=0)
+        check_work_order(n - low)
+        return eta_expression_eval(form, max(n, low))
     match e:
         case dsl.Add(a, b):
             return _eval(a, n, forms) + _eval(b, n, forms)
@@ -97,7 +86,10 @@ def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
             return dissect_extract(_eval(inner, m * n + r, forms), m, r)
         case dsl.Subst(inner, m):
             inner_order = max(-(-(n - m + 1) // m), 0)
-            return _eval(inner, inner_order, forms).substitute_power(m)
+            # for m > n + 1 the inner series is its constant term, and the
+            # window through q^(m-1) would be mostly zeros beyond q^n
+            return _eval(inner, inner_order, forms).substitute_power(
+                m, n if m > n + 1 else None)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -109,7 +101,10 @@ def eval_expr(e, order: int) -> TruncatedLaurentSeries:
     through the order it is asked for.  Elsewhere, inner divisions and
     Laurent factors can lose order; the loss is a fixed structural
     constant of the expression, so re-evaluating with the measured deficit
-    as padding converges in a couple of rounds.  This is the package's
+    as padding converges in a couple of rounds.  A divisor that is zero
+    through the working order doubles the padding instead (8, 24, 56, ...),
+    up to the requested order plus 64; a divisor still zero there is
+    reported as not invertible.  This is the package's
     only order padding: every identity, including the change-of-z and
     cube-decomposition templates below, reaches its requested order here.
     No step may work above MAX_WORK_ORDER; such an evaluation raises
@@ -120,7 +115,15 @@ def eval_expr(e, order: int) -> TruncatedLaurentSeries:
     pad = 0
     forms: dict = {}
     for _ in range(10):
-        s = _eval(e, order + pad, forms)
+        try:
+            s = _eval(e, order + pad, forms)
+        except NotInvertibleError:
+            # a divisor is zero through the working order; its lowest term,
+            # if it has one, may lie higher up
+            pad = 2 * pad + 8
+            if pad > order + 64:
+                raise
+            continue
         if s.order >= order:
             return s.truncate(order)
         pad += (order - s.order) + 4

@@ -8,6 +8,12 @@ If the k- and q-exponents agree across all terms they factor out, and
 after removing the componentwise minimum the remaining exponents must be
 nonnegative integers, reducing the claim to a polynomial identity in p
 that is expanded and checked exactly.
+
+The expressions come from the registry: `qid param-check ID` proves
+lhs - rhs of the identity record ID zero, read as
+expr_to_eta(parse("(lhs) - (rhs)")), with S0, S1, H0, H1 and R0 naming the
+split components zero-s0 ... zero-r0.  The independent numeric path for
+the same record is engine.verify, which expands both sides as series.
 """
 
 from __future__ import annotations
@@ -15,10 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UnsupportedEtaIndexError
-from .outcome import VerificationOutcome, compare_series
-from .qproducts import EtaExpression, EtaMonomial, eta_expression_eval
+from .qproducts import EtaExpression, EtaMonomial
 from .record import Record
-from .series import TruncatedLaurentSeries
 
 _F = Fraction
 
@@ -204,8 +208,3 @@ def prove_zero(e: EtaExpression) -> ParamProofOutcome:
     return ParamProofOutcome("NotZero", f"residual polynomial: {total}",
                              polynomial=total)
 
-
-def series_zero_crosscheck(e: EtaExpression, order: int) -> VerificationOutcome:
-    """Independent numeric path: expand to the given order and test for zero."""
-    s = eta_expression_eval(e, order)
-    return compare_series(s, TruncatedLaurentSeries.zero(order))

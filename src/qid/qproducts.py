@@ -13,11 +13,33 @@ from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
-from .errors import ThetaVanishesError
+from .errors import QidError, ThetaVanishesError
 from .record import Record
 from .series import TruncatedLaurentSeries
 
 _CACHE_STEP = 64
+
+#: Largest order any step of an evaluation works at: eight times the
+#: largest order the CLI accepts (engine.MAX_ORDER, 1000).  EXTRACT(e, m, r)
+#: evaluates e at m*n + r, eval_expr pads the order of Laurent and
+#: Appell-Lerch terms, and theta_j and pochhammer_finite start above the
+#: order they return by the binomials with negative exponents; the
+#: registry's largest EXTRACT modulus is 6, which stays within this at
+#: order 1000 with room for padding.
+MAX_WORK_ORDER = 8000
+
+
+def check_work_order(n: int) -> None:
+    if n > MAX_WORK_ORDER:
+        raise QidError(f"evaluation would work at order {n}, "
+                       f"above the limit {MAX_WORK_ORDER}")
+
+
+def _slack(start: int, step: int, count: int) -> int:
+    """The order a product of binomials (1 - eps*q^e) loses: the sum of -e
+    over the negative e among start + step*j, 0 <= j < count."""
+    c = max(0, min(count, -(start // step)))
+    return -(c * start + step * c * (c - 1) // 2)
 
 
 class SignedMonomial(Record):
@@ -83,12 +105,11 @@ def pochhammer_finite(a: SignedMonomial, step: int, n: int, order: int) -> Trunc
         raise ValueError("step must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    exps = [a.exp + step * j for j in range(n)]
-    slack = sum(-e for e in exps if e < 0)
-    s = TruncatedLaurentSeries.one(order + slack)
-    for e in exps:
-        if e <= order + slack:
-            s = mul_one_minus(s, a.sign, e)
+    work = order + _slack(a.exp, step, n)
+    check_work_order(work)
+    s = TruncatedLaurentSeries.one(work)
+    for e in range(a.exp, min(a.exp + step * n, work + 1), step):
+        s = mul_one_minus(s, a.sign, e)
     return s.truncate(order)
 
 
@@ -141,7 +162,7 @@ def eta_power(k: int, e: int, order: int) -> TruncatedLaurentSeries:
         return TruncatedLaurentSeries.one(order)
     if k == 1:
         return _f1_power(e, order)
-    return _f1_power(e, order // k).substitute_power(k).truncate(order)
+    return _f1_power(e, order // k).substitute_power(k, order)
 
 
 class EtaMonomial(Record):
@@ -186,7 +207,7 @@ def _eta_product(exps: dict[int, int], order: int) -> TruncatedLaurentSeries:
     g = gcd(*exps)
     if g > 1:
         return _eta_product({k // g: e for k, e in exps.items()},
-                            order // g).substitute_power(g).truncate(order)
+                            order // g).substitute_power(g, order)
     # split off the indices divisible by the divisor that most of them
     # share; g == 1, so neither part is empty
     d = max(range(2, max(exps) + 1),
@@ -261,22 +282,11 @@ def theta_j(z: SignedMonomial, base: int, order: int) -> TruncatedLaurentSeries:
     eps, t = z.sign, z.exp
     if eps == 1 and t % base == 0:
         raise ThetaVanishesError(f"theta is identically zero: z = q^(base*{t // base})")
-    factors: list[tuple[int, int]] = []
-    slack = 0
-    for start, sign in ((t, eps), (base - t, eps), (base, 1)):
-        e = start
-        while e < 0:
-            factors.append((sign, e))
-            slack += -e
-            e += base
-    work = order + slack
-    for start, sign in ((t, eps), (base - t, eps), (base, 1)):
-        # nonnegative members of the arithmetic progression start + base*j
-        e = start if start >= 0 else start + base * ((-start + base - 1) // base)
-        while e <= work:
-            factors.append((sign, e))
-            e += base
+    progressions = ((t, eps), (base - t, eps), (base, 1))
+    work = order + sum(_slack(start, base, -start) for start, _ in progressions)
+    check_work_order(work)
     s = TruncatedLaurentSeries.one(work)
-    for sign, e in factors:
-        s = mul_one_minus(s, sign, e)
+    for start, sign in progressions:
+        for e in range(start, work + 1, base):
+            s = mul_one_minus(s, sign, e)
     return s.truncate(order)

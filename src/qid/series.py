@@ -276,15 +276,22 @@ class TruncatedLaurentSeries(Record):
             inv = [self.den * c for c in inv]
         return TruncatedLaurentSeries(-e, self.order - 2 * e, tuple(inv), d)
 
-    def substitute_power(self, m: int) -> "TruncatedLaurentSeries":
-        """q -> q^m (m >= 1): exponent e becomes m*e."""
+    def substitute_power(self, m: int, order: int | None = None) -> "TruncatedLaurentSeries":
+        """q -> q^m (m >= 1): exponent e becomes m*e.  The result is known
+        through q^(m*self.order + m - 1); a caller that keeps less passes
+        order, and only the window through q^order is built."""
         if m < 1:
             raise ValueError("substitution power must be >= 1")
         lo = m * self.min_exp
-        order = m * self.order + (m - 1)
-        out = [0] * (order - lo + 1)
-        out[::m] = self.coeffs
-        return TruncatedLaurentSeries(lo, order, tuple(out), self.den)
+        top = m * self.order + (m - 1)
+        if order is not None and order < top:
+            top = order
+        n = top - lo + 1
+        if n <= 0:
+            return TruncatedLaurentSeries(top + 1, top, ())
+        out = [0] * n
+        out[::m] = self.coeffs[:(n + m - 1) // m]
+        return TruncatedLaurentSeries(lo, top, tuple(out), self.den)
 
     def pow(self, n: int) -> "TruncatedLaurentSeries":
         if n < 0:

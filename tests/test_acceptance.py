@@ -11,10 +11,10 @@ import pytest
 
 from qid import (SignedMonomial, TruncatedLaurentSeries, appell_lerch_m,
                  AppellLerchSpec, dissect_extract, dissect_reconstruct,
-                 eta_f, load_registry, mock_theta_series, prove_zero,
-                 series_zero_crosscheck, theta_j, verify)
+                 eta_f, expr_to_eta, load_registry, mock_theta_series,
+                 prove_zero, theta_j, verify)
+from qid.dsl import parse
 from qid.errors import WindowUnstableError
-from qid.expressions import PARAM_TARGETS
 
 from test_qproducts import bilateral_theta_sum, pentagonal_terms
 
@@ -52,12 +52,14 @@ def test_criterion_2_lemmas(registry):
     report(2, "vanishing lemmas at order 200", not failures)
 
 
-def test_criterion_3_two_path_zero_proofs():
+def test_criterion_3_two_path_zero_proofs(registry):
     ok = True
-    for name, e in PARAM_TARGETS.items():
-        symbolic = prove_zero(e)
-        numeric = series_zero_crosscheck(e, 200)
-        if symbolic.status != "ProvedZero" or numeric.status != "pass":
+    for rid in ["zero-s0", "zero-s1", "zero-h0", "zero-h1", "zero-r0"]:
+        rec = registry[rid]
+        symbolic = prove_zero(expr_to_eta(parse(f"({rec.lhs}) - ({rec.rhs})")))
+        numeric = verify(rec, order=200)
+        if symbolic.status != "ProvedZero" or numeric.status != "pass" \
+                or numeric.compared_order < 200:
             ok = False
     report(3, "two-path zero proofs for S0/S1/H0/H1/R0", ok)
 

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, output shapes, registry resolution."""
 
 import json
+import time
 
 import pytest
 
@@ -90,8 +91,26 @@ def test_param_check(capsys):
     code, _, err = run(capsys, "param-check", "--expr", "f1/0")
     assert code == 2 and err.strip() == "error: division by zero: (f1/0)"
 
-    code, _, err = run(capsys, "param-check", "NOPE")
-    assert code == 2
+    # a target is a registry identity, by id or by its short alias
+    for target in ("zero-s0", "S0"):
+        code, out, _ = run(capsys, "param-check", target)
+        assert (code, out) == (0, "ProvedZero\n  polynomial in p collapses to 0\n")
+
+    # an unknown id, a record of another kind, or an identity that is not
+    # an eta quotient in f1..f12: one stderr line, no traceback
+    for target, reason in [
+            ("NOPE", "unknown identity id 'NOPE'"),
+            ("wang-parity", "parity record 'wang-parity'"),
+            ("nath-das-1.10", "error: not an eta-quotient term: "
+                              "EXTRACT(MT(B1), 3, 0)"),
+            ("lemma-f1-zero", "error: no parametrization for f_8")]:
+        code, out, err = run(capsys, "param-check", target)
+        assert (code, out) == (2, ""), target
+        assert err.startswith(reason) and len(err.splitlines()) == 1, err
+
+    code, out, err = run(capsys, "param-check")
+    assert (code, out) == (2, "")
+    assert err.strip() == "param-check requires an identity id or --expr"
 
 
 def test_list(capsys):
@@ -135,6 +154,13 @@ def test_registry_flag_and_env(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "suite")
     assert code == 0 and "only" in out
 
+    # param-check reads the same registry: q - q is proved zero, and the
+    # bundled records are out of reach
+    code, out, _ = run(capsys, "param-check", "only")
+    assert code == 0 and out.startswith("ProvedZero")
+    code, _, err = run(capsys, "param-check", "S0")
+    assert code == 2 and err.startswith("unknown identity id 'zero-s0'")
+
 
 def test_upto_bound(capsys):
     code, out, err = run(capsys, "coeffs", "B", "--upto", "1001")
@@ -162,7 +188,7 @@ def test_order_bound(capsys):
                      "--order", "1000")
     assert code == 0
 
-    # inner working orders are bounded too, by engine.MAX_WORK_ORDER: an
+    # inner working orders are bounded too, by MAX_WORK_ORDER: an
     # EXTRACT operand at m*n + r and the q^-200000 shift of an eta quotient
     # are error verdicts rather than hours of work
     for expr in ("EXTRACT(f1, 1000, 0)", "q^-200000*f1"):
@@ -170,6 +196,26 @@ def test_order_bound(capsys):
                            "--order", "1000")
         assert code == 2 and out.startswith("adhoc: error"), expr
         assert "above the limit 8000" in out, expr
+
+
+def test_work_order_bounds_slack_and_substitution(capsys):
+    # J and P start above their order by the binomials with negative
+    # exponents; f_k and SUBST spread a series by k or m.  Each ends fast:
+    # the first two as error verdicts, the last two by building only the
+    # window through q^10
+    for expr, status in [("J(q^-3000, 7)", "error"),
+                         ("P(q^-3000, 1, 3000)", "error"),
+                         ("f1000000000", "pass"),
+                         ("SUBST(f1, 1000000000)", "pass")]:
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--expr", expr, "--expr", "1",
+                           "--order", "10")
+        assert time.perf_counter() - t0 < 1, expr
+        assert out.startswith(f"adhoc: {status}"), (expr, out)
+        if status == "error":
+            assert code == 2 and "above the limit 8000" in out, expr
+        else:
+            assert code == 0, expr
 
 
 @pytest.mark.parametrize("text, argv, reason", [

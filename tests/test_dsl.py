@@ -67,6 +67,71 @@ def test_error_location_and_expectation():
     assert info.value.column == 6
 
 
+_CALLS = ("'AL'", "'EXTRACT'", "'J'", "'MT'", "'P'", "'SUBST'")
+_ATOM = ("'('", "'f<k>'", "'q'", "call", "number")
+_END = ("end of input", "operator")
+
+
+# (source, message, line, column, expected): an end-of-input error sits one
+# column after the start of the last token, or at column 2 when there is none
+@pytest.mark.parametrize("src, message, line, column, expected", [
+    ("q^", "unexpected 'end of input' at line 1, column 3 (expected integer)",
+     1, 3, ("integer",)),
+    ("AL(q, 4)", "unexpected ')' at line 1, column 8 (expected ',')",
+     1, 8, ("','",)),
+    ("f1 +", "unexpected 'end of input' at line 1, column 5 (expected '(', "
+     "'f<k>', 'q', call, number)", 1, 5, _ATOM),
+    ("(f1", "unexpected 'end of input' at line 1, column 3 (expected ')')",
+     1, 3, ("')'",)),
+    ("EXTRACT(f1, 3, 5)", "EXTRACT residue 5 not in [0, 3) at line 1, column 17",
+     1, 17, ()),
+    ("MT(Z9)", "unexpected 'Z9' at line 1, column 4 (expected 'A1', 'A2', "
+     "'B1', 'B2', 'MU2')", 1, 4, ("'A1'", "'A2'", "'B1'", "'B2'", "'MU2'")),
+    ("1/0", "zero denominator in rational literal at line 1, column 1",
+     1, 1, ()),
+    ("@", "unexpected character '@' at line 1, column 1", 1, 1, ()),
+    ("", "unexpected 'end of input' at line 1, column 2 (expected '(', "
+     "'f<k>', 'q', call, number)", 1, 2, _ATOM),
+    ("f1 + %", "unexpected character '%' at line 1, column 6", 1, 6, ()),
+    ("f1 +\n  f2 *\n  @", "unexpected character '@' at line 3, column 3",
+     3, 3, ()),
+    ("EXTRACT(f1,\n 3, 7)",
+     "EXTRACT residue 7 not in [0, 3) at line 2, column 6", 2, 6, ()),
+    ("f1 +\n 2/0", "zero denominator in rational literal at line 2, column 2",
+     2, 2, ()),
+    ("SUBST(f1\n,2", "unexpected 'end of input' at line 2, column 3 "
+     "(expected ')')", 2, 3, ("')'",)),
+    ("  \n\n f1 ) ", "unexpected ')' at line 3, column 5 (expected end of "
+     "input, operator)", 3, 5, _END),
+    ("f1 f2", "unexpected 'f2' at line 1, column 4 (expected end of input, "
+     "operator)", 1, 4, _END),
+    ("AL(q, 4, 2)", "unexpected '2' at line 1, column 10 (expected '-q', 'q')",
+     1, 10, ("'-q'", "'q'")),
+    ("J(q^x, 3)", "unexpected 'x' at line 1, column 5 (expected integer)",
+     1, 5, ("integer",)),
+    ("f12 +\n", "unexpected 'end of input' at line 1, column 6 (expected "
+     "'(', 'f<k>', 'q', call, number)", 1, 6, _ATOM),
+    ("\n\n  @", "unexpected character '@' at line 3, column 3", 3, 3, ()),
+    ("MT(\n A1", "unexpected 'end of input' at line 2, column 3 (expected "
+     "')')", 2, 3, ("')'",)),
+    ("ZZ(1)", "unexpected 'ZZ' at line 1, column 1 (expected 'AL', "
+     "'EXTRACT', 'J', 'MT', 'P', 'SUBST', 'f<k>', 'q')",
+     1, 1, _CALLS + ("'f<k>'", "'q'")),
+    ("f1^2^3", "unexpected '^' at line 1, column 5 (expected end of input, "
+     "operator)", 1, 5, _END),
+    ("q^\n", "unexpected 'end of input' at line 1, column 3 (expected "
+     "integer)", 1, 3, ("integer",)),
+    ("\t(f1\t+\tq", "unexpected 'end of input' at line 1, column 9 "
+     "(expected ')')", 1, 9, ("')'",)),
+])
+def test_error_report_pinned(src, message, line, column, expected):
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    err = info.value
+    assert (str(err), err.line, err.column, err.expected) == \
+        (message, line, column, expected)
+
+
 def test_round_trip_simple():
     for src in ["f2^7*f3^2/(f1^6*f4*f6)", "-(1/q)*AL(q^0, 4, q^3)",
                 "SUBST(EXTRACT(MT(MU2), 3, 1), 2)", "q^2 - 1/2",

@@ -95,6 +95,27 @@ def test_verify_error_status():
     assert out.first_mismatch is None
 
 
+def test_divisor_zero_through_the_working_order(registry):
+    # an eta quotient whose lowest term lies above the working order is
+    # known through that term, so dividing by it costs order, not an error
+    assert eval_expr(parse("((q+q)^1)^-1"), 0) == \
+        S.from_terms({-1: Fraction(1, 2)}, 0)
+    # q - q*f1 = q^2 + q^3 + ...: its q^1 terms cancel, and the padding
+    # grows until the divisor has a nonzero term
+    e = parse("(q - q*f1)^-1")
+    assert eval_expr(e, 0) == eval_expr(e, 20).truncate(0)
+    # a divisor that is zero stays an error
+    out = verify(IdentityRecord(id="x", tier="core", anchor="",
+                                lhs="1/(f1-f1)", rhs="0"), order=10)
+    assert (out.status, out.message) == \
+        ("error", "not invertible at this truncation: all-zero window")
+    # AL(q^-12, 36, -q^0)/q^13 at order 10 and the cube decomposition's
+    # 1/q^12 at order 0 divide by such a term
+    records = {r.id: r for r in registry}
+    for rid, order in (("b-al-base36", 10), ("al-cube-b", 0)):
+        assert verify(records[rid], order=order).status == "pass", rid
+
+
 def test_check_congruence():
     out = check_congruence("B1", 6, 3, 6, 40)
     assert out.status == "pass"

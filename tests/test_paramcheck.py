@@ -5,10 +5,24 @@ from fractions import Fraction
 import pytest
 
 from qid import (UnsupportedEtaIndexError, eta_expression, eta_monomial,
-                 param_vector_of_term, prove_zero, series_zero_crosscheck)
-from qid.expressions import PARAM_TARGETS
+                 expr_to_eta, load_registry, param_vector_of_term, prove_zero,
+                 verify)
+from qid.dsl import parse
 
 F = Fraction
+
+#: the split components S0, S1, H0, H1 and R0, each written as lhs = 0
+ZERO_IDS = ("zero-s0", "zero-s1", "zero-h0", "zero-h1", "zero-r0")
+
+
+@pytest.fixture(scope="module")
+def registry():
+    return {r.id: r for r in load_registry()}
+
+
+def difference(rec):
+    """lhs - rhs of an identity record, read as `qid param-check` reads it."""
+    return expr_to_eta(parse(f"({rec.lhs}) - ({rec.rhs})"))
 
 
 def test_base_vector_f1():
@@ -45,15 +59,17 @@ def test_single_term_never_proved_zero():
         assert prove_zero(eta_expression([term])).status != "ProvedZero"
 
 
-def test_named_targets_two_paths():
-    for name, e in PARAM_TARGETS.items():
-        assert prove_zero(e).status == "ProvedZero", name
-        out = series_zero_crosscheck(e, 200)
-        assert out.status == "pass", (name, out.message)
+def test_named_targets_two_paths(registry):
+    for rid in ZERO_IDS:
+        rec = registry[rid]
+        assert prove_zero(difference(rec)).status == "ProvedZero", rid
+        out = verify(rec, order=200)
+        assert (out.status, out.compared_order) == ("pass", 200), \
+            (rid, out.message)
 
 
-def test_reorder_and_scale_invariance():
-    e = PARAM_TARGETS["R0"]
+def test_reorder_and_scale_invariance(registry):
+    e = difference(registry["zero-r0"])
     reordered = eta_expression(
         [(t.coeff, t.qpow, dict(t.exps)) for t in reversed(e.terms)])
     scaled = eta_expression(

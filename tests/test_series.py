@@ -100,6 +100,20 @@ def test_substitute_power_composes():
     assert s.substitute_power(2).substitute_power(3) == s.substitute_power(6)
 
 
+def test_substitute_power_to_order():
+    # the window through q^order is exactly the truncated substitution
+    s = S.from_terms({-1: 2, 0: 1, 3: -4}, 6)
+    for m in (1, 2, 5):
+        for cut in range(-8, 7 * m):
+            got = s.substitute_power(m, cut)
+            want = s.substitute_power(m).truncate(cut)
+            assert (got.min_exp, got.order, got.coeffs, got.den) == \
+                (want.min_exp, want.order, want.coeffs, want.den), (m, cut)
+    # nothing past q^order is built: f_1 to order 0 spread by 10^9
+    one = S.one(0).substitute_power(10**9, 10)
+    assert (one.order, len(one.coeffs), one.nonzero_terms()) == (10, 11, {0: 1})
+
+
 def test_coefficient_access():
     s = S.from_terms({0: 1, 1: 2}, 1)
     assert s.coefficient(1) == 2
@@ -300,7 +314,8 @@ def test_results_are_normalised(pa, pb, c, m):
     a = from_coeffs(ca, ma, ma + len(ca) - 1)
     b = from_coeffs(cb, mb, mb + len(cb) - 1)
     results = [a, b, a + b, a - b, -a, a * b, a.scale(c), a.shift(3),
-               a.substitute_power(m), a.truncate(a.order - 1),
+               a.substitute_power(m), a.substitute_power(m, a.order),
+               a.truncate(a.order - 1),
                mul_one_minus(a, -1, 0), mul_one_minus(a, 1, -2),
                dissect_extract(a, m, 0)]
     if not a.is_zero():
