@@ -10,7 +10,7 @@ from .engine import (IdentityRecord, change_z_identity_check,
                      verify)
 from .errors import (NonGenericParameterError, NotInvertibleError, ParseError,
                      QidError, ThetaVanishesError, TruncationError,
-                     UnsupportedEtaIndexError, WindowUnstableError)
+                     UnsupportedEtaIndexError)
 from .mock_theta import SELECTORS, mock_theta_coefficient, mock_theta_series
 from .outcome import VerificationOutcome, compare_series
 from .paramcheck import (BASE_VECTORS, ParamProofOutcome, ParamVector,
@@ -27,7 +27,7 @@ __all__ = [
     "load_registry", "report_json", "run_suite", "verify",
     "NonGenericParameterError", "NotInvertibleError", "ParseError",
     "QidError", "ThetaVanishesError", "TruncationError",
-    "UnsupportedEtaIndexError", "WindowUnstableError", "SELECTORS",
+    "UnsupportedEtaIndexError", "SELECTORS",
     "mock_theta_coefficient", "mock_theta_series", "VerificationOutcome",
     "compare_series",
     "BASE_VECTORS", "ParamProofOutcome", "ParamVector", "PPolynomial",

@@ -4,15 +4,16 @@ m(x,Q,z) = (-z / j(z;Q)) * sum_r (-1)^r Q^(r(r+1)/2) z^r / (1 - x z Q^r),
 with Q = q^base.  Every summand denominator 1 - eps*q^d is expanded
 exactly: geometrically for d > 0, via the rewrite
 1/(1-eps*q^d) = -eps*q^(-d)/(1-eps*q^(-d)) for d < 0, and as the constant
-1/2 for d = 0 with eps = -1.  The bilateral window is chosen from the
-exact per-term minimal exponent bound and its adequacy is checked at
-runtime on every evaluation (WindowUnstableError otherwise).
+1/2 for d = 0 with eps = -1.  The sum runs over the summands that reach
+the truncation order, found in closed form by _window.
 """
 
 from __future__ import annotations
 
-from .errors import NonGenericParameterError, WindowUnstableError
-from .qproducts import SignedMonomial, theta_j
+from functools import partial
+
+from .errors import NonGenericParameterError
+from .qproducts import _slack, theta_j
 from .record import Record
 from .series import TruncatedLaurentSeries
 
@@ -30,99 +31,59 @@ class AppellLerchSpec(Record):
                 "non-generic parameters: x*z*q^(base*r) = 1 for some integer r")
 
 
-def _theta_lowest_exp(z: SignedMonomial, base: int) -> int:
-    """Lowest exponent of the (nonzero) theta product j(z;q^base)."""
-    t = z.exp
-    low = 0
-    for start in (t, base - t):
-        e = start
-        while e < 0:
-            low += e
-            e += base
-    return low
+def _term_min_exp(a: int, t: int, base: int, r: int) -> int:
+    """The lowest exponent of the r-th summand of the bilateral sum."""
+    return base * r * (r + 1) // 2 + t * r + max(0, -(a + t + base * r))
 
 
-def _term_min_exp(r: int, a: int, t: int, base: int) -> int:
-    d = a + t + base * r
-    return base * r * (r + 1) // 2 + t * r + max(0, -d)
+def _window(a: int, t: int, base: int, order_s: int) -> range:
+    """The indices r with _term_min_exp(r) <= order_s.
+
+    The step _term_min_exp(r + 1) - _term_min_exp(r) is base*(r + 1) + t
+    plus one that rises from -base to 0 with r.  So the steps increase, and
+    with k = -(t // base) they are negative for r < k - 1 and nonnegative
+    for r >= k: the minimum lies at k - 1 or k, and the indices form one
+    interval around it, grown here from the empty one."""
+    f = partial(_term_min_exp, a, t, base)
+    k = -(t // base)
+    lo = min(k - 1, k, key=f)
+    hi = lo - 1
+    while f(hi + 1) <= order_s:
+        hi += 1
+    while f(lo - 1) <= order_s:
+        lo -= 1
+    return range(lo, hi + 1)
 
 
 def appell_lerch_m(spec: AppellLerchSpec, order: int) -> TruncatedLaurentSeries:
-    a, ex = spec.x.exp, spec.x.sign
-    t, ez = spec.z.exp, spec.z.sign
-    base = spec.base
-    eps = ex * ez
+    a, t, base = spec.x.exp, spec.z.exp, spec.base
+    ez, eps = spec.z.sign, spec.x.sign * spec.z.sign
 
-    e_theta = _theta_lowest_exp(spec.z, base)
-    p0 = t - e_theta  # min_exp of the -z/j(z;Q) prefactor
-    order_s = order - p0
+    # j(z;Q) starts at q^e_theta, the sum of the negative exponents among
+    # the binomials of (z;Q)_inf and (Q/z;Q)_inf, and -z/j(z;Q) at
+    # q^(t - e_theta), so the sum is needed through q^order_s
+    e_theta = -(_slack(t, base, -t) + _slack(base - t, base, t - base))
+    order_s = order - t + e_theta
+    window = _window(a, t, base, order_s)
+    low = partial(_term_min_exp, a, t, base)
+    smin = min(map(low, window), default=order_s + 1)
 
-    # bilateral window from the exact minimal-exponent bound
-    def scan(direction: int) -> int:
-        r, last_in = 0, 0
-        misses = 0
-        while misses < 3:
-            r += direction
-            if _term_min_exp(r, a, t, base) <= order_s:
-                last_in = r
-                misses = 0
-            else:
-                misses += 1
-        return last_in
+    # the prefactor, to an order making the product sound, comes first:
+    # theta_j's work bound refuses an oversized sum
+    theta_order = order - min(smin, 0) - t + 2 * e_theta
+    pf = theta_j(spec.z, base, max(theta_order, e_theta)).invert().scale(-ez).shift(t)
 
-    r_hi = max(scan(+1), 0)
-    r_lo = min(scan(-1), 0)
-
-    # window-stability check: the next two indices on each side are
-    # entirely beyond the truncation order
-    for r in (r_hi + 1, r_hi + 2, r_lo - 1, r_lo - 2):
-        if _term_min_exp(r, a, t, base) <= order_s:
-            raise WindowUnstableError(
-                f"Appell-Lerch window unstable at r={r} for {spec} (order {order})")
-
-    # integer numerators of the bilateral sum over the denominator 2, which
-    # the d == 0 summand 1/2 needs; the series normalises it away otherwise
-    acc: dict[int, int] = {}
-
-    def put(e: int, c: int):
-        if e <= order_s:
-            acc[e] = acc.get(e, 0) + c
-
-    smin = order_s + 1
-    for r in range(r_lo, r_hi + 1):
-        if _term_min_exp(r, a, t, base) > order_s:
-            continue
-        smin = min(smin, _term_min_exp(r, a, t, base))
-        s_r = 1 if r % 2 == 0 else -ez  # (-1)^r * z.sign^r
-        e_r = base * r * (r + 1) // 2 + t * r
+    # numerators over 2, which the d == 0 summand 1/2 needs, of the sum's
+    # coefficients of q^smin ... q^order_s
+    acc = [0] * (order_s - smin + 1)
+    for r in window:
+        c = 1 if r % 2 == 0 else -ez  # (-1)^r * z.sign^r
         d = a + t + base * r
-        if d == 0:
-            if eps == 1:
-                raise NonGenericParameterError(
-                    "non-generic parameters: summand denominator 1 - q^0")
-            put(e_r, s_r)
-        elif d > 0:
-            j = 0
-            while e_r + d * j <= order_s:
-                put(e_r + d * j, 2 * s_r * eps ** j)
-                j += 1
-        else:
-            i = 1
-            while e_r - d * i <= order_s:
-                put(e_r - d * i, -2 * s_r * eps ** i)
-                i += 1
-
-    if smin > order_s:
-        ssum = TruncatedLaurentSeries(order_s + 1, order_s, ())
-    else:
-        ssum = TruncatedLaurentSeries(
-            smin, order_s, tuple(acc.get(e, 0) for e in range(smin, order_s + 1)), 2)
-
-    # prefactor -z / j(z;Q) to an order making the product sound
-    pf_order = order - min(smin, 0)
-    theta_order = pf_order - t + 2 * e_theta
-    theta = theta_j(spec.z, base, max(theta_order, e_theta))
-    pf = theta.invert().scale(-ez).shift(t)
-
-    return (pf * ssum).truncate(order)
-
+        if d == 0:  # eps == -1 here: AppellLerchSpec rejects eps == 1
+            acc[low(r) - smin] += c
+            continue
+        c *= 2 if d > 0 else -2 * eps  # twice the first term of 1/(1 - eps*q^d)
+        for e in range(low(r) - smin, len(acc), abs(d)):
+            acc[e] += c
+            c *= eps
+    return (pf * TruncatedLaurentSeries(smin, order_s, tuple(acc), 2)).truncate(order)

@@ -16,8 +16,8 @@ Grammar (whitespace-insensitive, left-associative binaries, ^ > */ > +-):
 
 AL(x, base, z) is the Appell-Lerch sum m(x, q^base, z); J(z, base) is
 j(z;q^base); P(a, step, n) the finite Pochhammer product; MT(sel) a mock
-theta series; EXTRACT(e, m, r) residue-class dissection; SUBST(e, m) the
-substitution q -> q^m.
+theta series; EXTRACT(e, m, r), 0 <= r < m, residue-class dissection;
+SUBST(e, m), m >= 1, the substitution q -> q^m.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ class _Parser:
             if text == "q":
                 self.next()
                 return Q()
-            fm = re.fullmatch(r"f(\d+)", text)
+            fm = re.fullmatch(r"f(0*[1-9]\d*)", text)  # f_k needs k >= 1
             if fm:
                 self.next()
                 return F(int(fm.group(1)))
@@ -259,7 +259,10 @@ class _Parser:
         else:  # SUBST
             e = self.expr()
             self.expect_op(",")
-            node = Subst(e, self.expect_int())
+            offset, m = self.peek()[2], self.expect_int()
+            if m < 1:
+                self.fail(f"SUBST power {m} is not positive", offset)
+            node = Subst(e, m)
         self.expect_op(")")
         return node
 

@@ -284,7 +284,7 @@ def theta_j(z: SignedMonomial, base: int, order: int) -> TruncatedLaurentSeries:
         raise ThetaVanishesError(f"theta is identically zero: z = q^(base*{t // base})")
     progressions = ((t, eps), (base - t, eps), (base, 1))
     work = order + sum(_slack(start, base, -start) for start, _ in progressions)
-    check_work_order(work)
+    check_work_order(work - min(0, t, base - t))  # the span the binomials cover
     s = TruncatedLaurentSeries.one(work)
     for start, sign in progressions:
         for e in range(start, work + 1, base):

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qid import (AppellLerchSpec, IdentityRecord, NonGenericParameterError,
                  SignedMonomial, appell_lerch_m, change_z_identity_check,
                  cube_decomposition_check, eta_expression,
                  eta_expression_eval, load_registry, mock_theta_series,
                  verify)
+from qid.appell_lerch import _term_min_exp, _window
 from qid.dsl import parse
 from qid.engine import change_z_exprs, cube_decomposition_exprs, eval_expr
 
@@ -79,13 +82,15 @@ def test_change_z_rhs_values():
 
 
 def test_change_z_random_generic():
+    # z ranges over twelve periods of Q either way, so the summands that
+    # reach the truncation order lie up to twelve indices from r = 0
     rng = random.Random(77003)
     checked = 0
-    while checked < 10:
+    while checked < 20:
         base = rng.randint(1, 8)
         x = SM(rng.choice([1, -1]), rng.randint(-3, 3))
-        z0 = SM(rng.choice([1, -1]), rng.randint(-3, 3))
-        z1 = SM(rng.choice([1, -1]), rng.randint(-3, 3))
+        z0 = SM(rng.choice([1, -1]), rng.randint(-12 * base, 12 * base))
+        z1 = SM(rng.choice([1, -1]), rng.randint(-12 * base, 12 * base))
         out = change_z_identity_check(x, base, z1, z0, 200)
         if out.status == "error":
             continue  # non-generic draw, try another
@@ -99,21 +104,35 @@ def test_cube_decomposition_instantiations():
         assert out.status == "pass", (x, out.message)
 
 
-def test_window_stability_sweep():
-    # the runtime window checks raise WindowUnstableError if the adaptive
-    # bilateral truncation were unsound; exercise a spread of shapes
-    specs = [
-        AppellLerchSpec(ONE, 4, SM(1, 3)),
-        AppellLerchSpec(SM(1, 1), 4, SM(1, 2)),
-        AppellLerchSpec(SM(-1, 1), 4, MINUS_ONE),
-        AppellLerchSpec(SM(1, 12), 36, MINUS_ONE),
-        AppellLerchSpec(SM(1, -12), 36, MINUS_ONE),
-        AppellLerchSpec(SM(-1, -9), 36, MINUS_ONE),
-        AppellLerchSpec(SM(-1, 2), 3, SM(-1, 0)),
-    ]
-    for spec in specs:
-        for order in (0, 1, 17, 60):
-            appell_lerch_m(spec, order)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda base: st.tuples(
+    st.just(base), st.integers(-8, 8), st.integers(-12 * base, 12 * base))),
+    st.integers(0, 40))
+def test_window_matches_brute_force(params, order):
+    # the window against every index of a range far wider than any window
+    # drawn here: at the order appell_lerch_m sums to, and at the orders
+    # where the window holds only the minimising indices or none
+    base, a, t = params
+    e_theta = sum(range(t, 0, base)) + sum(range(base - t, 0, base))
+    lows = {r: _term_min_exp(a, t, base, r) for r in range(-400, 401)}
+    low = min(lows.values())
+    for order_s in (order - (t - e_theta), low, low - 1):
+        assert min(lows[-400], lows[400]) > order_s
+        brute = [r for r, e in lows.items() if e <= order_s]
+        assert list(_window(a, t, base, order_s)) == brute
+
+
+@pytest.mark.parametrize("x, base, z, k", [
+    (SM(1, 1), 1, SM(-1, -20), 20), (SM(1, 1), 1, MINUS_ONE, -20),
+    (ONE, 4, SM(1, 3), 7), (SM(-1, 1), 4, SM(-1, -30), 9),
+    (SM(1, -12), 36, MINUS_ONE, -5), (SM(1, 2), 3, SM(-1, 40), -15),
+])
+def test_z_shift_invariance(x, base, z, k):
+    # m(x,Q,z) = m(x,Q,zQ^k): the summands that reach the truncation order
+    # lie k indices apart on the two sides
+    zk = z.times(SM(1, base * k))
+    out = _verify_pair(f"AL({x}, {base}, {z})", f"AL({x}, {base}, {zk})", 10)
+    assert (out.status, out.compared_order) == ("pass", 10), out.message
 
 
 def _verify_pair(lhs, rhs, order):

@@ -199,12 +199,13 @@ def test_order_bound(capsys):
 
 
 def test_work_order_bounds_slack_and_substitution(capsys):
-    # J and P start above their order by the binomials with negative
-    # exponents; f_k and SUBST spread a series by k or m.  Each ends fast:
-    # the first two as error verdicts, the last two by building only the
-    # window through q^10
+    # J, P and AL's theta prefactor start above their order by the
+    # binomials with negative exponents; f_k and SUBST spread a series by k
+    # or m.  Each ends fast: the first three as error verdicts, the last two
+    # by building only the window through q^10
     for expr, status in [("J(q^-3000, 7)", "error"),
                          ("P(q^-3000, 1, 3000)", "error"),
+                         ("AL(q, 7, q^-100000000)", "error"),
                          ("f1000000000", "pass"),
                          ("SUBST(f1, 1000000000)", "pass")]:
         t0 = time.perf_counter()
@@ -216,6 +217,18 @@ def test_work_order_bounds_slack_and_substitution(capsys):
             assert code == 2 and "above the limit 8000" in out, expr
         else:
             assert code == 0, expr
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("SUBST(q, 0)", "SUBST power 0 is not positive at line 1, column 10"),
+    ("f0*f1", "unexpected 'f0' at line 1, column 1 (expected 'AL', 'EXTRACT', "
+     "'J', 'MT', 'P', 'SUBST', 'f<k>', 'q')"),
+])
+def test_verify_parse_error_verdict(capsys, expr, message):
+    # an error verdict on one line, not a traceback
+    code, out, err = run(capsys, "verify", "--expr", expr, "--expr", "1")
+    assert (code, err) == (2, "")
+    assert out.splitlines() == ["adhoc: error", f"  {message}"]
 
 
 @pytest.mark.parametrize("text, argv, reason", [

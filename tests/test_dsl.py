@@ -55,7 +55,7 @@ def test_negative_exponents():
 
 def test_syntax_errors():
     for bad in ["q^", "AL(q, 4)", "f1 +", "(f1", "EXTRACT(f1, 3, 5)",
-                "MT(Z9)", "1/0", "@", ""]:
+                "MT(Z9)", "1/0", "@", "", "SUBST(f1, 0)", "f0"]:
         with pytest.raises(ParseError):
             parse(bad)
 
@@ -123,6 +123,16 @@ _END = ("end of input", "operator")
      "integer)", 1, 3, ("integer",)),
     ("\t(f1\t+\tq", "unexpected 'end of input' at line 1, column 9 "
      "(expected ')')", 1, 9, ("')'",)),
+    ("SUBST(q, 0)", "SUBST power 0 is not positive at line 1, column 10",
+     1, 10, ()),
+    ("SUBST(f1,\n -2)", "SUBST power -2 is not positive at line 2, column 2",
+     2, 2, ()),
+    ("f0*f1", "unexpected 'f0' at line 1, column 1 (expected 'AL', "
+     "'EXTRACT', 'J', 'MT', 'P', 'SUBST', 'f<k>', 'q')",
+     1, 1, _CALLS + ("'f<k>'", "'q'")),
+    ("f1 +\n  f00", "unexpected 'f00' at line 2, column 3 (expected 'AL', "
+     "'EXTRACT', 'J', 'MT', 'P', 'SUBST', 'f<k>', 'q')",
+     2, 3, _CALLS + ("'f<k>'", "'q'")),
 ])
 def test_error_report_pinned(src, message, line, column, expected):
     with pytest.raises(ParseError) as info:
@@ -130,6 +140,10 @@ def test_error_report_pinned(src, message, line, column, expected):
     err = info.value
     assert (str(err), err.line, err.column, err.expected) == \
         (message, line, column, expected)
+
+
+def test_leading_zeros_in_eta_index():
+    assert parse("f01") == F(1)
 
 
 def test_round_trip_simple():

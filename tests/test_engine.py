@@ -4,10 +4,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qid import (IdentityRecord, check_congruence, eval_expr, expr_to_eta,
-                 load_registry, report_json, run_suite, verify)
-from qid.dsl import parse
+from qid import (SELECTORS, IdentityRecord, SignedMonomial, check_congruence,
+                 eval_expr, expr_to_eta, load_registry, report_json,
+                 run_suite, verify)
+from qid import dsl
+from qid.dsl import parse, print_expr
 from qid.engine import check_parity_characterization
 from qid.qproducts import (_eta_power_cache, _results, eta_expression_eval,
                            eta_f)
@@ -202,3 +206,31 @@ def test_eta_powers_use_cache(n):
     _results.clear()
     assert eval_expr(parse("f3^-7*f2^5"), n) == got
     assert all(_eta_power_cache[key] is s for key, s in built.items())
+
+
+# every node kind of the DSL, with every integer slot drawn from [-3, 3]:
+# invalid slots included, since a verdict on them must be an error
+_ints = st.integers(-3, 3)
+_monomials = st.builds(SignedMonomial, st.sampled_from((1, -1)), _ints)
+_leaves = st.one_of(
+    st.builds(lambda a, b: dsl.Lit(Fraction(a, b)), _ints, st.integers(1, 3)),
+    st.just(dsl.Q()), st.builds(dsl.F, _ints),
+    st.builds(dsl.AL, _monomials, _ints, _monomials),
+    st.builds(dsl.J, _monomials, _ints),
+    st.builds(dsl.P, _monomials, _ints, _ints),
+    st.sampled_from(SELECTORS).map(dsl.MT))
+_asts = st.recursive(_leaves, lambda inner: st.one_of(
+    st.builds(dsl.Add, inner, inner), st.builds(dsl.Sub, inner, inner),
+    st.builds(dsl.Mul, inner, inner), st.builds(dsl.Div, inner, inner),
+    st.builds(dsl.Neg, inner), st.builds(dsl.Pow, inner, _ints),
+    st.builds(dsl.Extract, inner, _ints, _ints),
+    st.builds(dsl.Subst, inner, _ints)), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_asts, _asts, st.integers(0, 12))
+def test_verify_returns_an_outcome(lhs, rhs, order):
+    # a bad expression is an error verdict, never an exception
+    rec = IdentityRecord(id="t", tier="core", anchor="",
+                         lhs=print_expr(lhs), rhs=print_expr(rhs))
+    assert verify(rec, order).status in ("pass", "fail", "error")

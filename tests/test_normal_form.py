@@ -11,11 +11,11 @@ order.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qid import (QidError, SignedMonomial, dissect_extract, eval_expr,
-                 pochhammer_finite)
+from qid import (NotInvertibleError, QidError, SignedMonomial,
+                 dissect_extract, eval_expr, pochhammer_finite)
 from qid import dsl
 from qid.engine import _eval
 from qid.series import TruncatedLaurentSeries as S
@@ -49,29 +49,27 @@ def plain_eval(e, n: int) -> S:
     raise TypeError(e)
 
 
-def plain_eval_expr(e, order: int) -> S:
-    pad = 0
-    for _ in range(10):
-        s = plain_eval(e, order + pad)
-        if s.order >= order:
-            return s.truncate(order)
-        pad += (order - s.order) + 4
-    raise QidError(f"evaluation did not reach order {order}")
-
-
 def reference(e, order: int) -> S | None:
-    """plain_eval_expr, or None when it divides by zero at every order tried.
+    """plain_eval padded and retried on eval_expr's schedule, or None when
+    a divisor is zero at every pad eval_expr tries.
 
     Its order bookkeeping is loose (q at order 0 is a window [0, 1], so
     q*q is known to q^1 only and q/(q*q) divides by an all-zero window),
     where the normal form is exact; a higher order, truncated, is the same
     series."""
-    for extra in (0, 8, 32):
+    pad = 0
+    for _ in range(10):
         try:
-            return plain_eval_expr(e, order + extra).truncate(order)
-        except QidError:
-            pass
-    return None
+            s = plain_eval(e, order + pad)
+        except NotInvertibleError:
+            pad = 2 * pad + 8
+            if pad > order + 64:
+                return None
+            continue
+        if s.order >= order:
+            return s.truncate(order)
+        pad += (order - s.order) + 4
+    raise QidError(f"evaluation did not reach order {order}")
 
 
 literals = st.builds(lambda a, b: dsl.Lit(Fraction(a, b)),
@@ -115,6 +113,8 @@ def eta_asts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(eta_asts(), st.integers(0, 30))
+# a divisor whose lowest term lies 40 orders up: pads 8, 24 and 56
+@example(dsl.Pow(dsl.Add(dsl.Pow(dsl.Q(), 40), dsl.Pow(dsl.Q(), 41)), -1), 0)
 def test_normal_form_matches_node_by_node(e, n):
     want = reference(e, n)
     if want is None:  # a division by zero: the normal form refuses it too
