@@ -16,6 +16,7 @@ from . import dsl, engine
 from .engine import MAX_ORDER
 from .errors import QidError
 from .mock_theta import SELECTORS, mock_theta_series
+from .outcome import fraction_str
 from .paramcheck import prove_zero
 
 #: short selector aliases accepted by `coeffs`
@@ -60,7 +61,8 @@ def _print_outcome(name, out):
     print(line)
     if out.first_mismatch is not None:
         e, lhs, rhs = out.first_mismatch
-        print(f"  first mismatch at q^{e}: lhs={lhs} rhs={rhs}")
+        print(f"  first mismatch at q^{e}: lhs={fraction_str(lhs)} "
+              f"rhs={fraction_str(rhs)}")
     if out.message and out.status != "pass":
         print(f"  {out.message}")
 
@@ -154,7 +156,8 @@ def cmd_suite(args) -> int:
             detail = r.outcome.message
             if r.outcome.first_mismatch is not None:
                 e, lhs, rhs = r.outcome.first_mismatch
-                detail = f"first mismatch at q^{e}: computed {lhs}, stated {rhs}"
+                detail = (f"first mismatch at q^{e}: computed "
+                          f"{fraction_str(lhs)}, stated {fraction_str(rhs)}")
             print(f"  {r.record.id} ({r.record.anchor}): {detail}")
     scored = [r for r in results if r.record.tier != "background"]
     background_errors = [r for r in results if r.record.tier == "background"

@@ -94,6 +94,10 @@ class Extract(Record):
 class Subst(Record):
     __slots__ = __match_args__ = ("expr", "m")
 
+    def _check(self):
+        if self.m < 1:
+            raise ValueError(f"SUBST power {self.m} is not positive")
+
 
 CALL_NAMES = ("AL", "J", "P", "MT", "EXTRACT", "SUBST")
 

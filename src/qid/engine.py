@@ -23,7 +23,7 @@ from .appell_lerch import AppellLerchSpec, appell_lerch_m
 from .dissection import dissect_extract
 from .errors import NotInvertibleError, QidError
 from .mock_theta import mock_theta_series
-from .outcome import VerificationOutcome, compare_series
+from .outcome import VerificationOutcome, compare_series, int_str
 from .qproducts import (MAX_WORK_ORDER, EtaExpression, SignedMonomial,
                         check_work_order, eta_expression, eta_expression_eval,
                         pochhammer_finite, theta_j)
@@ -44,18 +44,11 @@ MAX_ORDER = 1000
 def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
     """One evaluation round at working order n.
 
-    forms maps id(node) to the node's EtaExpression, or to None when the
-    subtree is not an eta quotient; eval_expr keeps one map for all its
-    rounds, so each node of the tree it holds is decided once."""
+    forms is _eta_forms of the tree eval_expr holds: a subtree that is an
+    eta quotient goes to the normal form."""
     check_work_order(n)
-    key = id(e)
-    if key not in forms:
-        try:
-            forms[key] = expr_to_eta(e)
-        except QidError:
-            forms[key] = None
-    form = forms[key]
-    if form is not None:
+    if forms[id(e)][1] is True:
+        form = eta_expression(_terms(e, forms))
         # through its lowest term at least, so that a divisor above q^n is
         # not all zero
         low = min((t.qpow for t in form.terms if t.coeff), default=0)
@@ -98,7 +91,8 @@ def eval_expr(e, order: int) -> TruncatedLaurentSeries:
 
     Every subtree that is an eta quotient (see expr_to_eta) goes to
     qproducts.eta_expression_eval as one normal form, which is exact
-    through the order it is asked for.  Elsewhere, inner divisions and
+    through the order it is asked for; one pass of _eta_forms finds them
+    all before the first round.  Elsewhere, inner divisions and
     Laurent factors can lose order; the loss is a fixed structural
     constant of the expression, so re-evaluating with the measured deficit
     as padding converges in a couple of rounds.  A divisor that is zero
@@ -113,7 +107,7 @@ def eval_expr(e, order: int) -> TruncatedLaurentSeries:
     if order < 0:
         raise ValueError("order must be nonnegative")
     pad = 0
-    forms: dict = {}
+    forms = _eta_forms(e)
     for _ in range(10):
         try:
             s = _eval(e, order + pad, forms)
@@ -130,62 +124,122 @@ def eval_expr(e, order: int) -> TruncatedLaurentSeries:
     raise QidError(f"evaluation did not reach order {order}")
 
 
+class _Rejected(Record):
+    """Why a subtree is not an eta quotient: the reason and the node it
+    names, rendered only when expr_to_eta reports it."""
+
+    __slots__ = __match_args__ = ("reason", "node")
+
+    def error(self) -> QidError:
+        return QidError(f"{self.reason}: {dsl.print_expr(self.node)}")
+
+
+def _reciprocal(c):
+    """1/c for a nonzero int or Fraction c; an int stays one when c is +-1."""
+    return c if c == 1 or c == -1 else Fraction(1, c)
+
+
+def _eta_forms(root) -> dict:
+    """Every node's eta form, from one post-order pass over root.
+
+    Maps id(node) to (monomial, summable).  monomial is the node as one
+    eta-quotient term (coeff, qpow, {k: e}) built from literals, q, f_k,
+    *, /, ^ and unary minus; summable is True when the node is a sum of
+    such terms (see _terms).  Where either fails it is a _Rejected naming
+    the first offending node from the left.  A coefficient stays an int
+    until a non-integral literal, or a division or negative power of a
+    coefficient other than +-1, makes it a Fraction.  The caller keeps
+    root alive while it reads the map."""
+    forms: dict = {}
+
+    def visit(node):
+        kind = type(node)
+        if kind is dsl.Mul or kind is dsl.Div:
+            ma, mb = visit(node.left)[0], visit(node.right)[0]
+            if type(ma) is _Rejected:
+                mono = ma
+            elif type(mb) is _Rejected:
+                mono = mb
+            else:
+                (ca, pa, ea), (cb, pb, eb) = ma, mb
+                ex = dict(ea)
+                if kind is dsl.Mul:
+                    for k, v in eb.items():
+                        ex[k] = ex.get(k, 0) + v
+                    mono = (ca * cb, pa + pb, ex)
+                elif cb:
+                    for k, v in eb.items():
+                        ex[k] = ex.get(k, 0) - v
+                    mono = (ca * _reciprocal(cb), pa - pb, ex)
+                else:
+                    mono = _Rejected("division by zero", node)
+            summable = mono if type(mono) is _Rejected else True
+        elif kind is dsl.Pow:
+            mono = visit(node.base)[0]
+            if type(mono) is not _Rejected:
+                c, p, ex = mono
+                k = node.exp
+                if k < 0 and not c:
+                    mono = _Rejected("division by zero", node)
+                else:
+                    mono = (c ** k if k >= 0 else _reciprocal(c) ** -k, p * k,
+                            {f: v * k for f, v in ex.items()})
+            summable = mono if type(mono) is _Rejected else True
+        elif kind is dsl.F:
+            mono, summable = (1, 0, {node.k: 1}), True
+        elif kind is dsl.Lit:
+            v = node.value
+            mono, summable = (v.numerator if v.denominator == 1 else v, 0, {}), True
+        elif kind is dsl.Add or kind is dsl.Sub:
+            sa, sb = visit(node.left)[1], visit(node.right)[1]
+            mono = _Rejected("not an eta-quotient term", node)
+            summable = sa if sa is not True else sb
+        elif kind is dsl.Q:
+            mono, summable = (1, 1, {}), True
+        elif kind is dsl.Neg:
+            mono, summable = visit(node.operand)
+            if type(mono) is not _Rejected:
+                c, p, ex = mono
+                mono = (-c, p, ex)
+        else:
+            if isinstance(node, (dsl.Extract, dsl.Subst)):
+                visit(node.expr)
+            mono = summable = _Rejected("not an eta-quotient term", node)
+        forms[id(node)] = form = (mono, summable)
+        return form
+
+    visit(root)
+    return forms
+
+
+def _terms(e, forms: dict) -> list:
+    """The terms (coeff, qpow, {k: e}) of a node that _eta_forms found
+    summable, left to right: the monomials below its sums and negations,
+    zero literals left out."""
+    terms = []
+    stack = [(e, 1)]
+    while stack:
+        node, sign = stack.pop()
+        kind = type(node)
+        if kind is dsl.Add or kind is dsl.Sub:
+            stack.append((node.right, sign if kind is dsl.Add else -sign))
+            stack.append((node.left, sign))
+        elif kind is dsl.Neg:
+            stack.append((node.operand, -sign))
+        elif kind is not dsl.Lit or node.value:
+            c, p, ex = forms[id(node)][0]
+            terms.append((c if sign > 0 else -c, p, ex))
+    return terms
+
+
 def expr_to_eta(e) -> EtaExpression:
     """Flatten an AST built from literals, q, f_k, *, /, ^, unary minus and
-    sums into an EtaExpression; raises on any other node kind."""
-
-    def monomial(node) -> tuple[Fraction, int, dict[int, int]]:
-        match node:
-            case dsl.Lit(v):
-                return v, 0, {}
-            case dsl.Q():
-                return Fraction(1), 1, {}
-            case dsl.F(k):
-                return Fraction(1), 0, {k: 1}
-            case dsl.Neg(a):
-                c, p, ex = monomial(a)
-                return -c, p, ex
-            case dsl.Mul(a, b):
-                ca, pa, ea = monomial(a)
-                cb, pb, eb = monomial(b)
-                for k, v in eb.items():
-                    ea[k] = ea.get(k, 0) + v
-                return ca * cb, pa + pb, ea
-            case dsl.Div(a, b):
-                ca, pa, ea = monomial(a)
-                cb, pb, eb = monomial(b)
-                if not cb:
-                    raise QidError(f"division by zero: {dsl.print_expr(node)}")
-                for k, v in eb.items():
-                    ea[k] = ea.get(k, 0) - v
-                return ca / cb, pa - pb, ea
-            case dsl.Pow(a, k):
-                c, p, ex = monomial(a)
-                if not c and k < 0:
-                    raise QidError(f"division by zero: {dsl.print_expr(node)}")
-                return c ** k, p * k, {f: v * k for f, v in ex.items()}
-        raise QidError(f"not an eta-quotient term: {dsl.print_expr(node)}")
-
-    terms: list[tuple[Fraction, int, dict[int, int]]] = []
-
-    def walk(node, negate: bool):
-        match node:
-            case dsl.Add(a, b):
-                walk(a, negate)
-                walk(b, negate)
-            case dsl.Sub(a, b):
-                walk(a, negate)
-                walk(b, not negate)
-            case dsl.Neg(a):
-                walk(a, not negate)
-            case dsl.Lit(v) if v == 0:
-                pass
-            case _:
-                c, p, ex = monomial(node)
-                terms.append((-c if negate else c, p, ex))
-
-    walk(e, False)
-    return eta_expression(terms)
+    sums into an EtaExpression; raises QidError on any other node kind."""
+    forms = _eta_forms(e)
+    summable = forms[id(e)][1]
+    if summable is not True:
+        raise summable.error()
+    return eta_expression(_terms(e, forms))
 
 
 class IdentityRecord(Record):
@@ -386,7 +440,7 @@ def run_suite(records, tier_filter: str | None = None,
 
 
 def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    return f"{int_str(f.numerator)}/{int_str(f.denominator)}"
 
 
 def report_json(results) -> list[dict]:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from fractions import Fraction
+
 from .record import Record
 from .series import TruncatedLaurentSeries
 
@@ -46,3 +49,28 @@ def compare_series(lhs: TruncatedLaurentSeries, rhs: TruncatedLaurentSeries,
                                    (e, lhs.coefficient(e), rhs.coefficient(e)),
                                    message or f"first mismatch at q^{e}")
     return VerificationOutcome("pass", compared, None, message)
+
+
+#: the most decimal digits int_str writes out; CPython's default limit on
+#: int-to-str conversion, which sys.set_int_max_str_digits can lower
+_MAX_DIGITS = 4300
+
+
+def int_str(n: int) -> str:
+    """str(n), or, for an integer that may have more decimal digits than
+    _MAX_DIGITS or the interpreter's own limit (sys.get_int_max_str_digits,
+    absent before CPython 3.10.7), a placeholder keeping its sign and size,
+    such as "-<integer of 20001 bits>".  The size comes from bit_length,
+    so no long conversion is attempted."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _MAX_DIGITS
+    bits = n.bit_length()
+    # a b-bit integer has at most floor(b * log10(2)) + 1 digits
+    if bits * 30103 // 100000 + 1 <= min(limit, _MAX_DIGITS):
+        return str(n)
+    return f"{'-' if n < 0 else ''}<integer of {bits} bits>"
+
+
+def fraction_str(f: Fraction) -> str:
+    """str(f), with numerator and denominator written by int_str."""
+    num = int_str(f.numerator)
+    return num if f.denominator == 1 else f"{num}/{int_str(f.denominator)}"

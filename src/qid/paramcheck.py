@@ -9,6 +9,15 @@ after removing the componentwise minimum the remaining exponents must be
 nonnegative integers, reducing the claim to a polynomial identity in p
 that is expanded and checked exactly.
 
+The proof runs in integers.  Exponents are kept as 24 times their value
+(BASE_VECTORS scaled by 24), so the uniformity and integrality checks are
+integer comparisons and `% 24`.  Each residual power (a + b*p)^n is
+expanded by binomial coefficients, the powers of one term are multiplied
+with the series kernel `_convolve_int`, and the terms are summed over the
+common denominator of their coefficients.  Fractions appear only in what
+is reported: param_vector_of_term, the messages, the NotZero polynomial
+and the NonIntegral numeric evaluation.
+
 The expressions come from the registry: `qid param-check ID` proves
 lhs - rhs of the identity record ID zero, read as
 expr_to_eta(parse("(lhs) - (rhs)")), with S0, S1, H0, H1 and R0 naming the
@@ -19,10 +28,14 @@ the same record is engine.verify, which expands both sides as series.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
+from operator import add
 
 from .errors import UnsupportedEtaIndexError
+from .outcome import fraction_str
 from .qproducts import EtaExpression, EtaMonomial
 from .record import Record
+from .series import _convolve_int
 
 _F = Fraction
 
@@ -40,17 +53,6 @@ class ParamVector(Record):
         return (self.e2, self.ep, self.e1m, self.e1p, self.e12p, self.e2p,
                 self.ek, self.eq)
 
-    def __add__(self, other):
-        return ParamVector(*(a + b for a, b in zip(self.as_tuple(), other.as_tuple())))
-
-    def __sub__(self, other):
-        return ParamVector(*(a - b for a, b in zip(self.as_tuple(), other.as_tuple())))
-
-    def scaled(self, c):
-        return ParamVector(*(c * a for a in self.as_tuple()))
-
-
-_ZERO_VEC = ParamVector(*([_F(0)] * 8))
 
 #: f_k -> exponent vector over (2, p, 1-p, 1+p, 1+2p, 2+p, k, q)
 BASE_VECTORS: dict[int, ParamVector] = {
@@ -68,14 +70,24 @@ BASE_VECTORS: dict[int, ParamVector] = {
                     _F(1, 2), _F(-1, 2)),
 }
 
+#: BASE_VECTORS times 24: every exponent as an integer count of 1/24
+_BASE24 = {k: tuple(c.numerator * 24 // c.denominator for c in v.as_tuple())
+           for k, v in BASE_VECTORS.items()}
+
+
+def _vector24(t: EtaMonomial) -> list[int]:
+    """24 times the exponent vector of the term t."""
+    vec = [0] * 7 + [24 * t.qpow]
+    for k, e in t.exps:
+        base = _BASE24.get(k)
+        if base is None:
+            raise UnsupportedEtaIndexError(f"no parametrization for f_{k}")
+        vec = [a + e * b for a, b in zip(vec, base)]
+    return vec
+
 
 def param_vector_of_term(t: EtaMonomial) -> ParamVector:
-    vec = ParamVector(*(_ZERO_VEC.as_tuple()[:7] + (_F(t.qpow),)))
-    for k, e in t.exps:
-        if k not in BASE_VECTORS:
-            raise UnsupportedEtaIndexError(f"no parametrization for f_{k}")
-        vec = vec + BASE_VECTORS[k].scaled(e)
-    return vec
+    return ParamVector(*(_F(c, 24) for c in _vector24(t)))
 
 
 class PPolynomial(Record):
@@ -91,49 +103,23 @@ class PPolynomial(Record):
             coeffs.pop()
         return cls(tuple(coeffs))
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PPolynomial.make(
-            [(self.coeffs[i] if i < len(self.coeffs) else 0)
-             + (other.coeffs[i] if i < len(other.coeffs) else 0) for i in range(n)])
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return PPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PPolynomial.make(out)
-
-    def pow(self, n: int) -> "PPolynomial":
-        acc = PPolynomial.make([1])
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def scaled(self, c) -> "PPolynomial":
-        return PPolynomial.make([c * a for a in self.coeffs])
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __str__(self):
         if not self.coeffs:
             return "0"
-        return " + ".join(f"{c}*p^{i}" if i else str(c)
+        return " + ".join(f"{fraction_str(c)}*p^{i}" if i else fraction_str(c)
                           for i, c in enumerate(self.coeffs) if c)
 
 
-# the five non-factored bases, as polynomials in p, matching slots 1..5
-_BASE_POLYS = (
-    PPolynomial.make([0, 1]),      # p
-    PPolynomial.make([1, -1]),     # 1-p
-    PPolynomial.make([1, 1]),      # 1+p
-    PPolynomial.make([1, 2]),      # 1+2p
-    PPolynomial.make([2, 1]),      # 2+p
-)
+def _binomial_power(a: int, b: int, n: int) -> list[int]:
+    """The integer coefficients of (a + b*p)^n in ascending powers of p."""
+    return [comb(n, i) * a ** (n - i) * b ** i for i in range(n + 1)]
+
+
+#: (a, b) of the bases a + b*p in slots 2..5: 1-p, 1+p, 1+2p, 2+p
+_BINOMIALS = ((1, -1), (1, 1), (1, 2), (2, 1))
 
 
 class ParamProofOutcome(Record):
@@ -151,9 +137,10 @@ class ParamProofOutcome(Record):
 _SAMPLE_POINTS = (_F(1, 7), _F(1, 5), _F(1, 3), _F(1, 2), _F(2, 3))
 
 
-def _numeric_report(terms, vectors, mins):
+def _numeric_report(terms, residuals):
     """Advisory 200-digit evaluation at rational sample points p in (0,1),
-    with the uniform k/q factors and the common minimum vector removed."""
+    with the uniform k/q factors and the common minimum vector removed;
+    residuals holds 24 times each term's remaining exponents."""
     import mpmath
 
     report = []
@@ -163,10 +150,10 @@ def _numeric_report(terms, vectors, mins):
             pv = mpmath.mpf(p.numerator) / p.denominator
             bases = (mpmath.mpf(2), pv, 1 - pv, 1 + pv, 1 + 2 * pv, 2 + pv)
             total = mpmath.mpf(0)
-            for t, vec in zip(terms, vectors):
-                resid = vec - mins
+            for t, resid in zip(terms, residuals):
                 val = mpmath.mpf(t.coeff.numerator) / t.coeff.denominator
-                for b, e in zip(bases, resid.as_tuple()[:6]):
+                for b, r in zip(bases, resid[:6]):
+                    e = _F(r, 24)
                     val *= mpmath.power(b, mpmath.mpf(e.numerator) / e.denominator)
                 total += val
             report.append((p, mpmath.nstr(total, 20), bool(abs(total) < tol)))
@@ -176,35 +163,40 @@ def _numeric_report(terms, vectors, mins):
 def prove_zero(e: EtaExpression) -> ParamProofOutcome:
     if not e.terms:
         raise ValueError("prove_zero requires a nonempty expression")
-    vectors = [param_vector_of_term(t) for t in e.terms]
+    vectors = [_vector24(t) for t in e.terms]
 
-    ks = {v.ek for v in vectors}
-    qs = {v.eq for v in vectors}
+    ks = {v[6] for v in vectors}
+    qs = {v[7] for v in vectors}
     if len(ks) > 1 or len(qs) > 1:
+        ks, qs = (sorted(_F(x, 24) for x in xs) for xs in (ks, qs))
         return ParamProofOutcome(
-            "NonUniform",
-            f"k-exponents {sorted(ks)}, q-exponents {sorted(qs)} are not uniform")
+            "NonUniform", f"k-exponents {ks}, q-exponents {qs} are not uniform")
 
-    mins = ParamVector(*(min(v.as_tuple()[i] for v in vectors) for i in range(8)))
-    residuals = [v - mins for v in vectors]
-    bad = [r for r in residuals
-           if any(c.denominator != 1 for c in r.as_tuple())]
-    if bad:
+    mins = [min(col) for col in zip(*vectors)]
+    residuals = [[a - m for a, m in zip(v, mins)] for v in vectors]
+    if any(c % 24 for r in residuals for c in r):
         return ParamProofOutcome(
             "NonIntegral",
             "residual exponents are not all integers; numeric evaluation attached",
-            numeric_report=_numeric_report(e.terms, vectors, mins))
+            numeric_report=_numeric_report(e.terms, residuals))
 
-    total = PPolynomial()
+    # sum_i c_i 2^r0 p^r1 (1-p)^r2 (1+p)^r3 (1+2p)^r4 (2+p)^r5 over the
+    # common denominator of the c_i
+    den = lcm(*(t.coeff.denominator for t in e.terms))
+    total: list[int] = []
     for t, r in zip(e.terms, residuals):
-        a = r.as_tuple()
-        poly = PPolynomial.make([t.coeff * _F(2) ** int(a[0])])
-        for base_poly, exp in zip(_BASE_POLYS, a[1:6]):
-            poly = poly * base_poly.pow(int(exp))
-        total = total + poly
+        e2, ep, *rest = (c // 24 for c in r[:6])
+        poly = [t.coeff.numerator * (den // t.coeff.denominator) << e2]
+        for (a, b), n in zip(_BINOMIALS, rest):
+            if n:
+                poly = _convolve_int(poly, _binomial_power(a, b, n), len(poly) + n)
+        poly[:0] = [0] * ep
+        if len(poly) > len(total):
+            total += [0] * (len(poly) - len(total))
+        total[:len(poly)] = map(add, total, poly)
 
-    if total.is_zero():
+    if not any(total):
         return ParamProofOutcome("ProvedZero", "polynomial in p collapses to 0")
-    return ParamProofOutcome("NotZero", f"residual polynomial: {total}",
-                             polynomial=total)
-
+    poly = PPolynomial.make([_F(c, den) for c in total])
+    return ParamProofOutcome("NotZero", f"residual polynomial: {poly}",
+                             polynomial=poly)

@@ -103,17 +103,20 @@ def _invert_int(u, n_out: int) -> tuple[list[int], int]:
     coefficients, as (numerators, denominator), by Newton iteration
     x <- x * (2 - u*x) on x = X/D: X' = X * (2D - u*X), D' = D^2.
 
+    With X known through h terms, u*X = D + q^h*H through k = 2h terms,
+    so X' = D*X - q^h*(X*H): the second product takes operands of h terms
+    and only its k - h lowest terms are kept.
+
     D ends as |u[0]|^(2^steps) <= |u[0]|^(2*n_out), which the caller's
     series normalises."""
     x, d = ([1], u[0]) if u[0] > 0 else ([-1], -u[0])
-    k = 1
-    while k < n_out:
-        k = min(2 * k, n_out)
-        corr = _convolve_int(u, x, k)
-        corr = [-t for t in corr]
-        corr[0] += 2 * d
-        x = _convolve_int(x, corr, k)
+    h = 1
+    while h < n_out:
+        k = min(2 * h, n_out)
+        high = _convolve_int(u, x, k)[h:]
+        x = [d * c for c in x] + [-c for c in _convolve_int(x, high, k - h)]
         d *= d
+        h = k
     return x, d
 
 

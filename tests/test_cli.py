@@ -262,3 +262,28 @@ def test_registry_load_errors(tmp_path, capsys, text, argv, reason):
     assert (code, out) == (2, "")
     assert err.startswith("cannot load registry: ") and reason in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_huge_coefficients_print_as_placeholders(capsys):
+    # 2^20000 has 6021 digits, past CPython's int-to-str limit of 4300
+    argv = ("verify", "--expr", "2^20000", "--expr=-(2^20000)/3")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "adhoc: fail (order 50)",
+        "  first mismatch at q^0: lhs=<integer of 20001 bits> "
+        "rhs=-<integer of 20001 bits>/3",
+        "  first mismatch at q^0"]
+
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)[0]["first_mismatch"] == {
+        "exponent": 0, "lhs": "<integer of 20001 bits>/1",
+        "rhs": "-<integer of 20001 bits>/3"}
+
+
+def test_int_str_bound():
+    from qid.outcome import int_str
+    assert int_str(-10 ** 4299) == "-1" + "0" * 4299  # 4300 digits
+    assert int_str(10 ** 4300) == "<integer of 14285 bits>"
+    assert int_str(0) == "0"

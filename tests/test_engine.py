@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qid import (SELECTORS, IdentityRecord, SignedMonomial, check_congruence,
-                 eval_expr, expr_to_eta, load_registry, report_json,
-                 run_suite, verify)
+from qid import (SELECTORS, EtaExpression, IdentityRecord, QidError,
+                 SignedMonomial, check_congruence, eta_expression, eval_expr,
+                 expr_to_eta, load_registry, report_json, run_suite, verify)
 from qid import dsl
 from qid.dsl import parse, print_expr
 from qid.engine import check_parity_characterization
@@ -176,13 +176,11 @@ def test_expr_to_eta_matches_eval():
 
 
 def test_expr_to_eta_rejects_non_eta():
-    from qid import QidError
     with pytest.raises(QidError):
         expr_to_eta(parse("MT(B1)"))
 
 
 def test_load_registry_rejects_bad_tier(tmp_path):
-    from qid import QidError
     p = tmp_path / "reg.json"
     p.write_text(json.dumps({"version": 1, "records": [
         {"id": "x", "tier": "bogus", "lhs": "q", "rhs": "q"}]}))
@@ -208,12 +206,33 @@ def test_eta_powers_use_cache(n):
     assert all(_eta_power_cache[key] is s for key, s in built.items())
 
 
+class _UncheckedSubst(dsl.Subst):
+    """A SUBST node that skips the power check, so that print_expr can
+    render the text SUBST(e, m) with m < 1 for the parser to refuse."""
+
+    def _check(self):
+        pass
+
+
+def test_subst_node_refuses_power_below_one():
+    for m in (0, -2):
+        with pytest.raises(ValueError, match=f"SUBST power {m} is not positive"):
+            dsl.Subst(dsl.Q(), m)
+    rec = IdentityRecord(id="t", tier="core", anchor="",
+                         lhs=print_expr(_UncheckedSubst(dsl.Q(), 0)), rhs="q")
+    out = verify(rec, 5)
+    assert (out.status, out.message) == (
+        "error", "SUBST power 0 is not positive at line 1, column 10")
+
+
 # every node kind of the DSL, with every integer slot drawn from [-3, 3]:
 # invalid slots included, since a verdict on them must be an error
 _ints = st.integers(-3, 3)
 _monomials = st.builds(SignedMonomial, st.sampled_from((1, -1)), _ints)
+_lits = st.builds(lambda a, b: dsl.Lit(Fraction(a, b)), _ints,
+                  st.integers(1, 3))
 _leaves = st.one_of(
-    st.builds(lambda a, b: dsl.Lit(Fraction(a, b)), _ints, st.integers(1, 3)),
+    _lits,
     st.just(dsl.Q()), st.builds(dsl.F, _ints),
     st.builds(dsl.AL, _monomials, _ints, _monomials),
     st.builds(dsl.J, _monomials, _ints),
@@ -224,7 +243,7 @@ _asts = st.recursive(_leaves, lambda inner: st.one_of(
     st.builds(dsl.Mul, inner, inner), st.builds(dsl.Div, inner, inner),
     st.builds(dsl.Neg, inner), st.builds(dsl.Pow, inner, _ints),
     st.builds(dsl.Extract, inner, _ints, _ints),
-    st.builds(dsl.Subst, inner, _ints)), max_leaves=6)
+    st.builds(_UncheckedSubst, inner, _ints)), max_leaves=6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,3 +253,77 @@ def test_verify_returns_an_outcome(lhs, rhs, order):
     rec = IdentityRecord(id="t", tier="core", anchor="",
                          lhs=print_expr(lhs), rhs=print_expr(rhs))
     assert verify(rec, order).status in ("pass", "fail", "error")
+
+
+def reference_expr_to_eta(e) -> EtaExpression:
+    """expr_to_eta by a plain recursive walk in Fraction arithmetic."""
+
+    def monomial(node):
+        match node:
+            case dsl.Lit(v):
+                return v, 0, {}
+            case dsl.Q():
+                return Fraction(1), 1, {}
+            case dsl.F(k):
+                return Fraction(1), 0, {k: 1}
+            case dsl.Neg(a):
+                c, p, ex = monomial(a)
+                return -c, p, ex
+            case dsl.Mul(a, b) | dsl.Div(a, b):
+                ca, pa, ea = monomial(a)
+                cb, pb, eb = monomial(b)
+                sign = 1 if isinstance(node, dsl.Mul) else -1
+                if sign < 0 and not cb:
+                    raise QidError(f"division by zero: {print_expr(node)}")
+                for k, v in eb.items():
+                    ea[k] = ea.get(k, 0) + sign * v
+                return ca * cb ** sign, pa + sign * pb, ea
+            case dsl.Pow(a, k):
+                c, p, ex = monomial(a)
+                if not c and k < 0:
+                    raise QidError(f"division by zero: {print_expr(node)}")
+                return c ** k, p * k, {f: v * k for f, v in ex.items()}
+        raise QidError(f"not an eta-quotient term: {print_expr(node)}")
+
+    def walk(node, sign):
+        match node:
+            case dsl.Add(a, b) | dsl.Sub(a, b):
+                return walk(a, sign) + walk(
+                    b, sign if isinstance(node, dsl.Add) else -sign)
+            case dsl.Neg(a):
+                return walk(a, -sign)
+            case dsl.Lit(v) if v == 0:
+                return []
+        c, p, ex = monomial(node)
+        return [(sign * c, p, ex)]
+
+    return eta_expression(walk(e, 1))
+
+
+def flattened(flatten, e):
+    try:
+        return flatten(e)
+    except QidError as exc:
+        return str(exc)
+
+
+# trees of eta-quotient nodes only, zero literals included
+_eta_asts = st.recursive(
+    st.one_of(_lits, st.just(dsl.Lit(Fraction(0))), st.just(dsl.Q()),
+              st.builds(dsl.F, st.integers(1, 4))),
+    lambda inner: st.one_of(
+        st.builds(dsl.Add, inner, inner), st.builds(dsl.Sub, inner, inner),
+        st.builds(dsl.Mul, inner, inner), st.builds(dsl.Div, inner, inner),
+        st.builds(dsl.Neg, inner), st.builds(dsl.Pow, inner, _ints)),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("asts", [_asts, _eta_asts], ids=["any", "eta"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_expr_to_eta_matches_reference(asts, data):
+    e = data.draw(asts)
+    got = flattened(expr_to_eta, e)
+    assert got == flattened(reference_expr_to_eta, e)
+    if isinstance(got, EtaExpression):
+        assert all(type(t.coeff) is Fraction for t in got.terms)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from qid import (NotInvertibleError, QidError, SignedMonomial,
                  dissect_extract, eval_expr, pochhammer_finite)
 from qid import dsl
-from qid.engine import _eval
+from qid.engine import _eta_forms, _eval
 from qid.series import TruncatedLaurentSeries as S
 
 
@@ -128,6 +128,6 @@ def test_normal_form_matches_node_by_node(e, n):
         want = plain_eval(e, n)
     except QidError:
         return
-    got = _eval(e, n, {})
+    got = _eval(e, n, _eta_forms(e))
     common = min(got.order, want.order)
     assert got.truncate(common) == want.truncate(common)

@@ -176,6 +176,21 @@ def test_invert_contract_random(p, lead):
         assert prod.coefficient(n) == (1 if n == 0 else 0)
 
 
+@given(st.lists(st.integers(-60, 60), max_size=90), st.integers(1, 9),
+       st.sampled_from((1, -1)), st.integers(1, 6), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_invert_times_self_is_one(tail, c, sign, den, min_exp):
+    # Newton steps of every length up to 90 terms, both kernels (more than
+    # _SMALL_CONV nonzeros), either sign of the constant term, den != 1
+    coeffs = [sign * c] + tail
+    s = from_coeffs(coeffs, min_exp, min_exp + len(coeffs) - 1).scale(
+        Fraction(1, den))
+    e = s.lowest_nonzero()
+    inv = s.invert()
+    assert inv.order == s.order - 2 * e
+    assert s * inv == S.one(s.order - 2 * e)
+
+
 @given(poly_st(), poly_st())
 @settings(max_examples=60, deadline=None)
 def test_add_mul_commute(pa, pb):
