@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import NonGenericParameterError
-from .qproducts import _slack, theta_j
+from .qproducts import theta_j, theta_valuation
 from .record import Record
 from .series import TruncatedLaurentSeries
 
@@ -59,10 +59,9 @@ def appell_lerch_m(spec: AppellLerchSpec, order: int) -> TruncatedLaurentSeries:
     a, t, base = spec.x.exp, spec.z.exp, spec.base
     ez, eps = spec.z.sign, spec.x.sign * spec.z.sign
 
-    # j(z;Q) starts at q^e_theta, the sum of the negative exponents among
-    # the binomials of (z;Q)_inf and (Q/z;Q)_inf, and -z/j(z;Q) at
-    # q^(t - e_theta), so the sum is needed through q^order_s
-    e_theta = -(_slack(t, base, -t) + _slack(base - t, base, t - base))
+    # j(z;Q) starts at q^e_theta and -z/j(z;Q) at q^(t - e_theta), so the
+    # sum is needed through q^order_s
+    e_theta = theta_valuation(t, base)
     order_s = order - t + e_theta
     window = _window(a, t, base, order_s)
     low = partial(_term_min_exp, a, t, base)

@@ -8,6 +8,7 @@ affect the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -252,8 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main call rather than at import,
+    and kept: a build costs about a millisecond, and one process may call
+    main many times."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -101,6 +101,13 @@ class Subst(Record):
 
 CALL_NAMES = ("AL", "J", "P", "MT", "EXTRACT", "SUBST")
 
+#: Deepest nesting of parentheses, call arguments and unary minus the
+#: parser accepts.  Every walk over a tree recurses at most a few frames
+#: per level, and only there: a flat chain such as a sum of thousands of
+#: terms is walked in a loop.  So an input nested deeper is a ParseError
+#: rather than a RecursionError.  The registry nests at most 4 deep.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^(),])")
 #: any character no token starts with, other than whitespace
 _BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z\-+*/^(),]")
@@ -121,6 +128,7 @@ class _Parser:
                      for m in _TOKEN_RE.finditer(src)]
         self.toks.append(("EOF", "", self.toks[-1][2] + 1 if self.toks else 1))
         self.i = 0
+        self.depth = 0
 
     def fail(self, message, offset: int, expected=()):
         src = self.src
@@ -139,6 +147,12 @@ class _Parser:
     def error(self, expected):
         kind, text, offset = self.peek()
         self.fail(f"unexpected {text or 'end of input'!r}", offset, expected)
+
+    def enter(self, offset: int):
+        """One level deeper (see MAX_NESTING); the caller steps back out."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested more than {MAX_NESTING} deep", offset)
 
     def expect_op(self, op: str):
         if self.peek()[:2] == ("OP", op):
@@ -165,11 +179,13 @@ class _Parser:
         return e
 
     def expr(self):
+        self.enter(self.peek()[2])
         e = self.term()
         while self.peek()[:2] in (("OP", "+"), ("OP", "-")):
             op = self.next()[1]
             rhs = self.term()
             e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+        self.depth -= 1
         return e
 
     def term(self):
@@ -182,8 +198,10 @@ class _Parser:
 
     def unary(self):
         if self.peek()[:2] == ("OP", "-"):
-            self.next()
-            return Neg(self.unary())
+            self.enter(self.next()[2])
+            e = Neg(self.unary())
+            self.depth -= 1
+            return e
         return self.factor()
 
     def factor(self):
@@ -289,8 +307,33 @@ def parse(src: str):
     return _Parser(src).parse()
 
 
+#: the operator each binary node prints as, and its precedence level
+_BINARY = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}
+
+
+def _joins(node, left) -> bool:
+    """Whether the left operand prints inside node's parentheses: an
+    operator of node's level, unless a bare integer would end it before a
+    "/", which the parser would fold into a rational literal."""
+    return (_BINARY.get(type(left), (0, 0))[1] == _BINARY[type(node)][1]
+            and not (type(node) is Div and type(left.right) is Lit
+                     and left.right.value.denominator == 1))
+
+
 def print_expr(e) -> str:
-    """Render an AST so that parse(print_expr(e)) == e (fully parenthesized)."""
+    """Render an AST so that parse(print_expr(e)) == e, parenthesizing
+    every operator but a left operand on its own level: (a+b-c) parses as
+    ((a+b)-c), so a chain of k terms is printed in a loop and nests one
+    level deep, not k."""
+    if type(e) in _BINARY:
+        parts = []
+        while True:
+            parts += (print_expr(e.right), _BINARY[type(e)][0])
+            if not _joins(e, e.left):
+                break
+            e = e.left
+        parts.append(print_expr(e.left))
+        return "(" + "".join(reversed(parts)) + ")"
     match e:
         case Lit(v):
             return str(v.numerator) if v.denominator == 1 \
@@ -299,14 +342,6 @@ def print_expr(e) -> str:
             return "q"
         case F(k):
             return f"f{k}"
-        case Add(a, b):
-            return f"({print_expr(a)}+{print_expr(b)})"
-        case Sub(a, b):
-            return f"({print_expr(a)}-{print_expr(b)})"
-        case Mul(a, b):
-            return f"({print_expr(a)}*{print_expr(b)})"
-        case Div(a, b):
-            return f"({print_expr(a)}/{print_expr(b)})"
         case Neg(a):
             return f"(-{print_expr(a)})"
         case Pow(a, n):

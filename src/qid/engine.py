@@ -17,6 +17,7 @@ import json
 import os
 import time
 from fractions import Fraction
+from operator import add, mul, sub
 
 from . import dsl
 from .appell_lerch import AppellLerchSpec, appell_lerch_m
@@ -41,6 +42,11 @@ TIERS = ("core", "classical", "background")
 #: listing (at most 500) stays below this.
 MAX_ORDER = 1000
 
+#: the binary nodes and the series operation each stands for
+_COMBINE = {dsl.Add: add, dsl.Sub: sub, dsl.Mul: mul,
+            dsl.Div: lambda a, b: a * b.invert()}
+
+
 def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
     """One evaluation round at working order n.
 
@@ -54,15 +60,18 @@ def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
         low = min((t.qpow for t in form.terms if t.coeff), default=0)
         check_work_order(n - low)
         return eta_expression_eval(form, max(n, low))
+    if type(e) in _COMBINE:
+        # x1 + x2 + ... + xk parses as a left-deep tree: its left side is
+        # walked in a loop, not k calls deep
+        spine = []
+        while type(e) in _COMBINE and forms[id(e)][1] is not True:
+            spine.append(e)
+            e = e.left
+        s = _eval(e, n, forms)
+        for node in reversed(spine):
+            s = _COMBINE[type(node)](s, _eval(node.right, n, forms))
+        return s
     match e:
-        case dsl.Add(a, b):
-            return _eval(a, n, forms) + _eval(b, n, forms)
-        case dsl.Sub(a, b):
-            return _eval(a, n, forms) - _eval(b, n, forms)
-        case dsl.Mul(a, b):
-            return _eval(a, n, forms) * _eval(b, n, forms)
-        case dsl.Div(a, b):
-            return _eval(a, n, forms) * _eval(b, n, forms).invert()
         case dsl.Neg(a):
             return -_eval(a, n, forms)
         case dsl.Pow(a, k):
@@ -139,8 +148,21 @@ def _reciprocal(c):
     return c if c == 1 or c == -1 else Fraction(1, c)
 
 
+def _children(node) -> tuple:
+    kind = type(node)
+    if kind in _COMBINE:
+        return node.left, node.right
+    if kind is dsl.Pow:
+        return (node.base,)
+    if kind is dsl.Neg:
+        return (node.operand,)
+    if kind is dsl.Extract or kind is dsl.Subst:
+        return (node.expr,)
+    return ()
+
+
 def _eta_forms(root) -> dict:
-    """Every node's eta form, from one post-order pass over root.
+    """Every node's eta form, children before parents.
 
     Maps id(node) to (monomial, summable).  monomial is the node as one
     eta-quotient term (coeff, qpow, {k: e}) built from literals, q, f_k,
@@ -148,14 +170,20 @@ def _eta_forms(root) -> dict:
     such terms (see _terms).  Where either fails it is a _Rejected naming
     the first offending node from the left.  A coefficient stays an int
     until a non-integral literal, or a division or negative power of a
-    coefficient other than +-1, makes it a Fraction.  The caller keeps
-    root alive while it reads the map."""
+    coefficient other than +-1, makes it a Fraction.  The nodes are listed
+    parents first from a stack and visited in reverse, so a sum of
+    thousands of terms needs no recursion.  The caller keeps root alive
+    while it reads the map."""
     forms: dict = {}
-
-    def visit(node):
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(_children(node))
+    for node in reversed(nodes):
         kind = type(node)
         if kind is dsl.Mul or kind is dsl.Div:
-            ma, mb = visit(node.left)[0], visit(node.right)[0]
+            ma, mb = forms[id(node.left)][0], forms[id(node.right)][0]
             if type(ma) is _Rejected:
                 mono = ma
             elif type(mb) is _Rejected:
@@ -175,7 +203,7 @@ def _eta_forms(root) -> dict:
                     mono = _Rejected("division by zero", node)
             summable = mono if type(mono) is _Rejected else True
         elif kind is dsl.Pow:
-            mono = visit(node.base)[0]
+            mono = forms[id(node.base)][0]
             if type(mono) is not _Rejected:
                 c, p, ex = mono
                 k = node.exp
@@ -191,24 +219,19 @@ def _eta_forms(root) -> dict:
             v = node.value
             mono, summable = (v.numerator if v.denominator == 1 else v, 0, {}), True
         elif kind is dsl.Add or kind is dsl.Sub:
-            sa, sb = visit(node.left)[1], visit(node.right)[1]
+            sa, sb = forms[id(node.left)][1], forms[id(node.right)][1]
             mono = _Rejected("not an eta-quotient term", node)
             summable = sa if sa is not True else sb
         elif kind is dsl.Q:
             mono, summable = (1, 1, {}), True
         elif kind is dsl.Neg:
-            mono, summable = visit(node.operand)
+            mono, summable = forms[id(node.operand)]
             if type(mono) is not _Rejected:
                 c, p, ex = mono
                 mono = (-c, p, ex)
         else:
-            if isinstance(node, (dsl.Extract, dsl.Subst)):
-                visit(node.expr)
             mono = summable = _Rejected("not an eta-quotient term", node)
-        forms[id(node)] = form = (mono, summable)
-        return form
-
-    visit(root)
+        forms[id(node)] = (mono, summable)
     return forms
 
 

@@ -31,9 +31,9 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import add
 
-from .errors import UnsupportedEtaIndexError
+from .errors import QidError, UnsupportedEtaIndexError
 from .outcome import fraction_str
-from .qproducts import EtaExpression, EtaMonomial
+from .qproducts import MAX_WORK_ORDER, EtaExpression, EtaMonomial
 from .record import Record
 from .series import _convolve_int
 
@@ -122,6 +122,14 @@ def _binomial_power(a: int, b: int, n: int) -> list[int]:
 _BINOMIALS = ((1, -1), (1, 1), (1, 2), (2, 1))
 
 
+#: Largest sum of the residual powers r0 + ... + r5 of one term that
+#: prove_zero expands.  (a + b*p)^r has r + 1 coefficients of up to
+#: r*log2(3) bits, so the work and the NotZero polynomial printed grow
+#: about as r^2; MAX_WORK_ORDER // 8 (1000) keeps a proof to a fraction of
+#: a second, far above the registry's largest sum, 14.
+MAX_POWER = MAX_WORK_ORDER // 8
+
+
 class ParamProofOutcome(Record):
     """status is "ProvedZero", "NotZero", "NonUniform" or "NonIntegral"."""
 
@@ -182,6 +190,10 @@ def prove_zero(e: EtaExpression) -> ParamProofOutcome:
 
     # sum_i c_i 2^r0 p^r1 (1-p)^r2 (1+p)^r3 (1+2p)^r4 (2+p)^r5 over the
     # common denominator of the c_i
+    power = max(sum(r[:6]) for r in residuals) // 24
+    if power > MAX_POWER:
+        raise QidError(f"a term's residual powers of 2, p, 1-p, 1+p, 1+2p "
+                       f"and 2+p sum to {power}, above the limit {MAX_POWER}")
     den = lcm(*(t.coeff.denominator for t in e.terms))
     total: list[int] = []
     for t, r in zip(e.terms, residuals):

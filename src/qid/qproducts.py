@@ -1,10 +1,10 @@
 """q-Pochhammer products, the eta-like functions f_k, eta-quotient
 expressions, and the theta function j(z;q^base) for signed-monomial z.
 
-Binomial factors (1 - eps*q^d) are multiplied directly, including d < 0,
-which are treated as exact two-term Laurent polynomials; each such factor
-lowers the working truncation order by |d|, so products start from an
-inflated internal order and end exactly at the requested one.
+Finite products multiply their binomials (1 - eps*q^d), d < 0 included,
+from an order raised by each negative d.  j(z;q^base) is its Jacobi
+triple product sum, O(sqrt(N)) terms through q^N, and f_1 = j(q;q^3) by
+Euler's pentagonal theorem (Andrews, The Theory of Partitions, Thm 2.8).
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ _CACHE_STEP = 64
 #: Largest order any step of an evaluation works at: eight times the
 #: largest order the CLI accepts (engine.MAX_ORDER, 1000).  EXTRACT(e, m, r)
 #: evaluates e at m*n + r, eval_expr pads the order of Laurent and
-#: Appell-Lerch terms, and theta_j and pochhammer_finite start above the
-#: order they return by the binomials with negative exponents; the
-#: registry's largest EXTRACT modulus is 6, which stays within this at
-#: order 1000 with room for padding.
+#: Appell-Lerch terms, pochhammer_finite starts above its order by its
+#: negative binomial exponents, and theta_j refuses the span its product
+#: form would cover; the registry's largest EXTRACT modulus is 6, which
+#: stays within this at order 1000 with room for padding.
 MAX_WORK_ORDER = 8000
 
 
@@ -33,13 +33,6 @@ def check_work_order(n: int) -> None:
     if n > MAX_WORK_ORDER:
         raise QidError(f"evaluation would work at order {n}, "
                        f"above the limit {MAX_WORK_ORDER}")
-
-
-def _slack(start: int, step: int, count: int) -> int:
-    """The order a product of binomials (1 - eps*q^e) loses: the sum of -e
-    over the negative e among start + step*j, 0 <= j < count."""
-    c = max(0, min(count, -(start // step)))
-    return -(c * start + step * c * (c - 1) // 2)
 
 
 class SignedMonomial(Record):
@@ -105,7 +98,8 @@ def pochhammer_finite(a: SignedMonomial, step: int, n: int, order: int) -> Trunc
         raise ValueError("step must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    work = order + _slack(a.exp, step, n)
+    c = max(0, min(n, -(a.exp // step)))  # factors with negative exponents
+    work = order - (c * a.exp + step * c * (c - 1) // 2)
     check_work_order(work)
     s = TruncatedLaurentSeries.one(work)
     for e in range(a.exp, min(a.exp + step * n, work + 1), step):
@@ -119,16 +113,14 @@ _eta_power_cache: dict[int, TruncatedLaurentSeries] = {}
 
 
 def _f1_power(e: int, order: int) -> TruncatedLaurentSeries:
-    """f_1^e, e >= 1, order >= 0: f_1 is the product of its binomials, and
-    f_1^e is (f_1^(e//2))^2, times f_1 when e is odd, so one request
-    caches O(log e) powers."""
+    """f_1^e, e >= 1, order >= 0: f_1 is Euler's pentagonal series
+    j(q; q^3), and f_1^e is (f_1^(e//2))^2, times f_1 when e is odd, so
+    one request caches O(log e) powers."""
     cached = _eta_power_cache.get(e)
     if cached is None or cached.order < order:
         work = -(-max(order, 1) // _CACHE_STEP) * _CACHE_STEP
         if e == 1:
-            s = TruncatedLaurentSeries.one(work)
-            for j in range(1, work + 1):
-                s = mul_one_minus(s, 1, j)
+            s = theta_j(SignedMonomial(1, 1), 3, work)
         else:
             half = _f1_power(e // 2, work)
             s = half * half
@@ -275,18 +267,27 @@ def _normal_form_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeries
     return total.shift(low_q)
 
 
+def theta_valuation(t: int, base: int) -> int:
+    """The lowest exponent of j(eps*q^t; q^base), at n = -(t // base)."""
+    return base * (t // base) * (t // base + 1) // 2 - t * (t // base)
+
+
 def theta_j(z: SignedMonomial, base: int, order: int) -> TruncatedLaurentSeries:
-    """j(z; q^base) = (z; Q)_inf (Q/z; Q)_inf (Q; Q)_inf with Q = q^base."""
+    """j(z; q^base) = (z; Q)_inf (Q/z; Q)_inf (Q; Q)_inf with Q = q^base,
+    summed by the Jacobi triple product: z = eps*q^t gives (-eps)^n at
+    q^(base*n(n-1)/2 + t*n), n in Z.  The exponent moves by base*n + t from
+    n to n + 1, so the terms through q^order are grown outwards from the
+    least one, at n = -(t // base), and no other n is visited."""
     if base < 1:
         raise ValueError("base must be positive")
     eps, t = z.sign, z.exp
     if eps == 1 and t % base == 0:
         raise ThetaVanishesError(f"theta is identically zero: z = q^(base*{t // base})")
-    progressions = ((t, eps), (base - t, eps), (base, 1))
-    work = order + sum(_slack(start, base, -start) for start, _ in progressions)
-    check_work_order(work - min(0, t, base - t))  # the span the binomials cover
-    s = TruncatedLaurentSeries.one(work)
-    for start, sign in progressions:
-        for e in range(start, work + 1, base):
-            s = mul_one_minus(s, sign, e)
-    return s.truncate(order)
+    low = theta_valuation(t, base)
+    check_work_order(order - low - min(0, t, base - t))
+    coeffs = [0] * max(0, order - low + 1)
+    for n, step in ((-(t // base), 1), (-(t // base) - 1, -1)):
+        while (e := base * n * (n - 1) // 2 + t * n) <= order:
+            coeffs[e - low] += 1 if n % 2 == 0 else -eps
+            n += step
+    return TruncatedLaurentSeries(min(low, order + 1), order, tuple(coeffs))

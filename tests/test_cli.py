@@ -1,10 +1,15 @@
 """Command line interface: exit codes, output shapes, registry resolution."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import qid
+from qid import cli
 from qid.cli import main
 
 
@@ -287,3 +292,80 @@ def test_int_str_bound():
     assert int_str(-10 ** 4299) == "-1" + "0" * 4299  # 4300 digits
     assert int_str(10 ** 4300) == "<integer of 14285 bits>"
     assert int_str(0) == "0"
+
+
+def test_long_sums_are_walked_in_loops(capsys):
+    # the parser builds a sum of k terms as a tree k deep; flattening it,
+    # evaluating it and printing it in an error message take no recursion
+    many_q = "+".join(["q"] * 1500)
+    code, out, err = run(capsys, "verify", "--expr", many_q,
+                         "--expr", "1500*q", "--order", "5")
+    assert (code, out, err) == (0, "adhoc: pass (order 5)\n", "")
+
+    many_j = "-".join(["J(-q^0, 1)"] * 1200)
+    code, out, err = run(capsys, "verify", "--expr", many_j,
+                         "--expr", "-1198*J(-q^0, 1)", "--order", "5")
+    assert (code, out, err) == (0, "adhoc: pass (order 5)\n", "")
+
+    code, out, err = run(capsys, "param-check", "--expr",
+                         f"{many_q} - 1500*q")
+    assert (code, out) == (0, "ProvedZero\n  polynomial in p collapses to 0\n")
+
+    code, out, err = run(capsys, "param-check", "--expr",
+                         f"({many_q})*J(q, 2)")
+    assert (code, out) == (2, "")
+    assert err == f"error: not an eta-quotient term: ({many_q})\n"
+
+
+@pytest.mark.parametrize("expr, column", [
+    ("(" * 300 + "q" + ")" * 300, 101),
+    ("-" * 3000 + "q", 100),
+    ("EXTRACT(" * 150 + "q" + ", 1, 0)" * 150, 801),
+])
+def test_deep_nesting_is_an_error_verdict(capsys, expr, column):
+    message = f"expression nested more than 100 deep at line 1, column {column}"
+    code, out, err = run(capsys, "verify", f"--expr={expr}", "--expr", "q",
+                         "--order", "5")
+    assert (code, err) == (2, "")
+    assert out.splitlines() == ["adhoc: error", f"  {message}"]
+
+    code, out, err = run(capsys, "param-check", f"--expr={expr}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_param_check_bounds_residual_powers(capsys):
+    # (a + b*p)^e is expanded exactly, so e is bounded before any work
+    def family(n):
+        return f"f1^-{3 * n}*f3^{n}*f4^{3 * n}*f12^-{n} - 1"
+
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "param-check", "--expr", family(10000))
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: a term's residual powers of 2, p, 1-p, 1+p, 1+2p "
+                   "and 2+p sum to 20000, above the limit 1000\n")
+
+    code, _, err = run(capsys, "param-check", "--expr", family(501))
+    assert code == 2 and "sum to 1002, above the limit 1000" in err
+
+    # the limit itself is expanded
+    code, out, err = run(capsys, "param-check", "--expr", family(500))
+    assert (code, err) == (1, "") and out.startswith("NotZero")
+
+
+def test_parser_built_once_on_first_main(capsys):
+    src = os.path.dirname(os.path.dirname(qid.__file__))
+    currsize = subprocess.run(
+        [sys.executable, "-c",
+         "import qid.cli; print(qid.cli._parser.cache_info().currsize)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True).stdout
+    assert currsize == "0\n"  # nothing is built at import
+
+    cli._parser.cache_clear()
+    for _ in range(3):
+        code, out, _ = run(capsys, "verify", "--expr", "q", "--expr", "q",
+                           "--order", "3")
+        assert (code, out) == (0, "adhoc: pass (order 3)\n")
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

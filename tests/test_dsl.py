@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qid import ParseError, SignedMonomial, load_registry
-from qid.dsl import (AL, MT, Add, Div, Extract, F, Lit, Mul, Neg, Pow, Q, Sub,
-                     parse, print_expr)
+from qid.dsl import (AL, MAX_NESTING, MT, Add, Div, Extract, F, Lit, Mul, Neg,
+                     Pow, Q, Sub, parse, print_expr)
 
 
 def test_eta_quotient_ast():
@@ -162,3 +164,66 @@ def test_round_trip_registry():
                 continue
             ast = parse(src)
             assert parse(print_expr(ast)) == ast, rec.id
+
+
+def test_nesting_bound():
+    # the top level counts as one level, each parenthesis, call argument
+    # and unary minus as one more
+    deepest = "(" * (MAX_NESTING - 1) + "q" + ")" * (MAX_NESTING - 1)
+    assert parse(deepest) == Q()
+    assert parse("-" * (MAX_NESTING - 1) + "q").operand is not None
+    for bad in ("(" + deepest + ")", "-" * MAX_NESTING + "q",
+                "SUBST(" * MAX_NESTING + "q" + ", 1)" * MAX_NESTING):
+        with pytest.raises(ParseError, match="nested more than 100 deep"):
+            parse(bad)
+
+
+def test_print_long_chains():
+    # a left-deep chain thousands of nodes long prints flat, without
+    # recursion, and parses back to the same tree
+    for op in "+-*/":
+        text = op.join(["f1"] * 3000)
+        printed = print_expr(parse(text))
+        assert printed == f"({text})"
+        assert print_expr(parse(printed)) == printed
+
+
+def full_parens(e):
+    """print_expr as it was before chains printed flat: every binary node
+    in its own parentheses."""
+    match e:
+        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
+            op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
+            return f"({full_parens(a)}{op}{full_parens(b)})"
+        case Neg(a):
+            return f"(-{full_parens(a)})"
+        case Pow(a, n):
+            return f"{full_parens(a)}^{n}"
+    return print_expr(e)
+
+
+# trees the parser can build, integer literals often, since a bare integer
+# before "/" would be folded into a rational literal
+_ints = st.integers(0, 9).map(lambda n: Lit(Fraction(n)))
+_leaves = st.one_of(
+    _ints, _ints, _ints,
+    st.builds(lambda a, b: Lit(Fraction(a, b)), st.integers(0, 9),
+              st.integers(2, 9)),
+    st.just(Q()), st.integers(1, 12).map(F))
+_trees = st.recursive(_leaves, lambda inner: st.one_of(
+    st.builds(Add, inner, inner), st.builds(Sub, inner, inner),
+    st.builds(Mul, inner, inner), st.builds(Div, inner, inner),
+    st.builds(Neg, inner), st.builds(Pow, inner, st.integers(-3, 3))),
+    max_leaves=12)
+
+
+@given(_trees)
+@example(Div(Mul(Q(), Lit(Fraction(3))), Lit(Fraction(4))))
+@settings(max_examples=300, deadline=None)
+def test_flat_chains_parse_as_full_parentheses(tree):
+    def parsed(text):  # a literal n/0 is a ParseError either way
+        try:
+            return parse(text)
+        except ParseError:
+            return ParseError
+    assert parsed(print_expr(tree)) == parsed(full_parens(tree))

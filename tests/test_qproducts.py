@@ -4,26 +4,45 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qid import (SignedMonomial, ThetaVanishesError, TruncatedLaurentSeries,
                  eta_expression, eta_expression_eval, eta_f, pochhammer_finite,
                  theta_j)
-from qid.qproducts import div_one_minus, mul_one_minus
+from qid.qproducts import _eta_power_cache, div_one_minus, mul_one_minus
 
 S = TruncatedLaurentSeries
 
 
-def pentagonal_terms(order):
-    """Euler pentagonal expansion of (q;q)_inf up to the given order."""
-    terms = {0: 1}
-    k = 1
-    while k * (3 * k - 1) // 2 <= order:
-        sign = (-1) ** k
-        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if e <= order:
-                terms[e] = sign
-        k += 1
-    return terms
+def theta_product(z, base, order):
+    """j(z; q^base) as the literal product (z; Q)_inf (Q/z; Q)_inf (Q; Q)_inf,
+    Q = q^base, multiplied out one binomial at a time.  Each binomial with
+    a negative exponent -d lowers the order by d, so the product starts
+    that much higher and is truncated at the end."""
+    eps, t = z.sign, z.exp
+    progressions = ((t, eps), (base - t, eps), (base, 1))
+    work = order + sum(-e for start, _ in progressions
+                       for e in range(start, 0, base))
+    s = S.one(work)
+    for start, sign in progressions:
+        for e in range(start, work + 1, base):
+            s = mul_one_minus(s, sign, e)
+    return s.truncate(order)
+
+
+def f1_product(order):
+    """(q; q)_inf through q^order, one binomial at a time."""
+    s = S.one(order)
+    for j in range(1, order + 1):
+        s = mul_one_minus(s, 1, j)
+    return s
+
+
+def window(s):
+    """The whole stored form, so that a differing window or denominator
+    fails where == (which ignores leading zeros) would not."""
+    return s.min_exp, s.order, s.coeffs, s.den
 
 
 def test_pochhammer_examples():
@@ -55,8 +74,16 @@ def test_eta_f_pentagonal_short():
 
 
 def test_eta_f_pentagonal_oracle_500():
-    f1 = eta_f(1, 500)
-    assert f1.nonzero_terms() == pentagonal_terms(500)
+    assert window(eta_f(1, 500)) == window(f1_product(500))
+
+
+def test_f1_matches_product_orders_0_to_1000():
+    product = f1_product(1000)
+    for order in range(1001):
+        expected = window(product.truncate(order))
+        assert window(theta_j(SignedMonomial(1, 1), 3, order)) == expected
+        _eta_power_cache.clear()
+        assert window(eta_f(1, order)) == expected, order
 
 
 def test_eta_f_small():
@@ -96,21 +123,9 @@ def test_theta_j_vanishing():
         theta_j(SignedMonomial(1, 8), 4, 5)
 
 
-def bilateral_theta_sum(z, base, order):
-    """j(z; q^base) = sum over n of (-1)^n q^{base*n(n-1)/2} z^n."""
-    terms = {}
-    reach = 2 * (order + abs(z.exp)) + 10
-    for n in range(-reach, reach + 1):
-        e = base * n * (n - 1) // 2 + z.exp * n
-        if e <= order:
-            coeff = 1 if n % 2 == 0 else -z.sign
-            terms[e] = terms.get(e, 0) + coeff
-    return S.from_terms({e: c for e, c in terms.items() if c}, order)
-
-
 def test_theta_j_jacobi_triple_product_example():
     z, base, order = SignedMonomial(-1, 1), 3, 40
-    assert theta_j(z, base, order) == bilateral_theta_sum(z, base, order)
+    assert window(theta_j(z, base, order)) == window(theta_product(z, base, order))
 
 
 def test_theta_j_jacobi_triple_product_random():
@@ -123,9 +138,31 @@ def test_theta_j_jacobi_triple_product_random():
         z = SignedMonomial(sign, exp)
         if sign == 1 and exp % base == 0:
             continue  # vanishing theta
-        assert theta_j(z, base, 200) == bilateral_theta_sum(z, base, 200), \
-            (sign, exp, base)
+        assert window(theta_j(z, base, 200)) \
+            == window(theta_product(z, base, 200)), (sign, exp, base)
         done += 1
+
+
+@st.composite
+def theta_args(draw):
+    base = draw(st.integers(1, 40))
+    t = draw(st.integers(-12 * base, 12 * base))
+    return SignedMonomial(draw(st.sampled_from([1, -1])), t), base
+
+
+@given(theta_args(), st.integers(-50, 300))
+@settings(max_examples=300, deadline=None)
+def test_theta_j_equals_product_property(zb, order):
+    """The triple product sum against the product it sums, on the whole
+    window, for orders below the lowest exponent too; a z with
+    z = Q^k (k in Z) is refused."""
+    z, base = zb
+    if z.sign == 1 and z.exp % base == 0:
+        with pytest.raises(ThetaVanishesError):
+            theta_j(z, base, order)
+        return
+    assert window(theta_j(z, base, order)) \
+        == window(theta_product(z, base, order))
 
 
 @pytest.mark.parametrize("eps", [1, -1])
