@@ -1,4 +1,13 @@
-"""Command line front end.
+"""Command line front end: `qid COMMAND [ARGS]`.
+
+COMMANDS lists each command with its handler, its positional argument and
+its flags; _parse reads argv against that table and the help text is
+printed from it.  A flag is spelt in full and takes its value as
+`--flag value` or `--flag=value`; the value may start with "-".  A
+single-value flag given twice keeps its last value.  `-h` or `--help`
+prints help and returns 0; a malformed call prints a usage line and one
+`qid: error: ...` line to stderr and returns 2.  main returns the exit
+code and raises no SystemExit.
 
 Exit codes: 0 all pass, 1 any fail, 2 any error / bad invocation.
 Background-tier failures in `suite` are downgraded to findings and do not
@@ -7,11 +16,10 @@ affect the exit code.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import dsl, engine
 from .engine import MAX_ORDER
@@ -19,6 +27,7 @@ from .errors import QidError
 from .mock_theta import SELECTORS, mock_theta_series
 from .outcome import fraction_str
 from .paramcheck import prove_zero
+from .record import Record
 
 #: short selector aliases accepted by `coeffs`
 _COEFF_ALIASES = {"A": "A1", "B": "B1", "MU2": "MU2"}
@@ -210,60 +219,200 @@ def cmd_list(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="qid",
-        description="Exact verification of q-series identities.")
-    sub = ap.add_subparsers(dest="command", required=True)
+class _Flag(Record):
+    """One flag of a command, stored as args.<its name without "--">.  type
+    is int or str, or bool for a bare switch such as --json; a repeatable
+    flag collects its values in a tuple, any other keeps the last one
+    given, or None."""
 
-    p = sub.add_parser("verify", help="verify registry records or ad hoc expressions")
-    p.add_argument("id", nargs="*", help="registry record id(s)")
-    p.add_argument("--expr", action="append",
-                   help="give twice: lhs expression, rhs expression")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--registry", default=None)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("coeffs", help="print series coefficients")
-    p.add_argument("series", help="A, B, MU2 or a full selector name")
-    p.add_argument("--upto", type=int, required=True)
-    p.add_argument("--mod", type=int, default=None)
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("suite", help="run the registry verification suite")
-    p.add_argument("--tier", choices=engine.TIERS, default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.add_argument("--registry", default=None)
-    p.set_defaults(func=cmd_suite)
-
-    p = sub.add_parser("param-check",
-                       help="symbolic vanishing proof for an eta expression")
-    p.add_argument("target", nargs="?", default=None,
-                   help="identity id (lhs - rhs is proved zero) or "
-                        f"{', '.join(_PARAM_ALIASES)}")
-    p.add_argument("--expr", default=None)
-    p.set_defaults(func=cmd_param_check)
-
-    p = sub.add_parser("list", help="list registry ids, tiers and anchors")
-    p.add_argument("--registry", default=None)
-    p.set_defaults(func=cmd_list)
-    return ap
+    __slots__ = __match_args__ = ("type", "help", "repeat", "choices",
+                                  "required")
+    _defaults = {"repeat": False, "choices": (), "required": False}
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built on the first main call rather than at import,
-    and kept: a build costs about a millisecond, and one process may call
-    main many times."""
-    return build_parser()
+class _Command(Record):
+    """One command: its handler and help line, its positional argument
+    (name, arity, help) with arity "1" (exactly one), "?" (at most one) or
+    "*" (any number), or None, its flags, and the flag, if any, that the
+    positional argument excludes."""
+
+    __slots__ = __match_args__ = ("handler", "help", "positional", "flags",
+                                  "excludes")
+    _defaults = {"excludes": None}
+
+
+_ORDER = _Flag(int, f"truncation order, at most {MAX_ORDER} (default: each "
+                    "record's own)")
+_JSON = _Flag(bool, "print the JSON report")
+_REGISTRY = _Flag(str, "registry JSON file (default: $QID_REGISTRY, else the "
+                       "bundled registry)")
+
+COMMANDS = {
+    "verify": _Command(
+        cmd_verify, "verify registry records or ad hoc expressions",
+        ("id", "*", "registry record id"),
+        {"--expr": _Flag(str, "give twice: lhs expression, rhs expression",
+                         repeat=True),
+         "--order": _Flag(int, _ORDER.help[:-1] + ", 50 for --expr)"),
+         "--json": _JSON, "--registry": _REGISTRY},
+        excludes="--expr"),
+    "coeffs": _Command(
+        cmd_coeffs, "print series coefficients",
+        ("series", "1", "A, B, MU2 or a full selector name"),
+        {"--upto": _Flag(int, f"last exponent printed, at most {MAX_ORDER}",
+                         required=True),
+         "--mod": _Flag(int, "print integer coefficients modulo MOD")}),
+    "suite": _Command(
+        cmd_suite, "run the registry verification suite", None,
+        {"--tier": _Flag(str, "run one tier only", choices=engine.TIERS),
+         "--order": _ORDER, "--json": _JSON,
+         "--out": _Flag(str, "also write the JSON report to this file"),
+         "--registry": _REGISTRY}),
+    "param-check": _Command(
+        cmd_param_check, "symbolic vanishing proof for an eta expression",
+        ("target", "?", "identity id (lhs - rhs is proved zero) or "
+                        f"{', '.join(_PARAM_ALIASES)}"),
+        {"--expr": _Flag(str, "eta expression to prove zero")},
+        excludes="--expr"),
+    "list": _Command(
+        cmd_list, "list registry ids, tiers and anchors", None,
+        {"--registry": _REGISTRY}),
+}
+
+
+class _UsageError(Exception):
+    """A malformed call; command is the command named, or None."""
+
+    def __init__(self, command, message):
+        super().__init__(message)
+        self.command = command
+
+
+def _synopsis(name) -> str:
+    if name is None:
+        return "qid {" + ",".join(COMMANDS) + "} ..."
+    cmd = COMMANDS[name]
+    parts = [f"qid {name}"]
+    if cmd.positional is not None:
+        dest, arity, _ = cmd.positional
+        parts.append({"1": "{}", "?": "[{}]", "*": "[{} ...]"}[arity]
+                     .format(dest.upper()))
+    for flag, spec in cmd.flags.items():
+        part = _flag_form(flag, spec)
+        parts.append(part if spec.required else f"[{part}]")
+    return " ".join(parts)
+
+
+def _flag_form(flag: str, spec: _Flag) -> str:
+    if spec.type is bool:
+        return flag
+    if spec.choices:
+        return f"{flag} {{{','.join(spec.choices)}}}"
+    return f"{flag} {flag[2:].upper()}"
+
+
+def _help(name) -> str:
+    if name is None:
+        lines = [f"usage: {_synopsis(None)}", "",
+                 "Exact verification of q-series identities.", "",
+                 "commands:"]
+        for cname, cmd in COMMANDS.items():
+            lines += [f"  {_synopsis(cname)}", f"      {cmd.help}"]
+        lines += ["", "`qid COMMAND --help` describes one command.  Exit "
+                  "codes: 0 all pass, 1 any fail, 2 any error or bad "
+                  "invocation."]
+        return "\n".join(lines)
+    cmd = COMMANDS[name]
+    rows = [(_flag_form(flag, spec), spec.help)
+            for flag, spec in cmd.flags.items()]
+    if cmd.positional is not None:
+        rows.insert(0, (cmd.positional[0].upper(), cmd.positional[2]))
+    width = max(len(form) for form, _ in rows)
+    return "\n".join([f"usage: {_synopsis(name)}", "", cmd.help, ""]
+                     + [f"  {form:{width}}  {text}" for form, text in rows])
+
+
+def _parse(argv):
+    """(command name, argument namespace) for argv, whose first item names
+    the command; the namespace is None when help was asked for, and the
+    name None for help on qid itself.  A malformed call raises
+    _UsageError."""
+    if not argv:
+        raise _UsageError(None, "a command is required")
+    name = argv[0]
+    if name in ("-h", "--help"):
+        return None, None
+    cmd = COMMANDS.get(name)
+    if cmd is None:
+        raise _UsageError(None, f"unknown command {name!r} (choose from "
+                                f"{', '.join(COMMANDS)})")
+    values = {flag[2:]: () if spec.repeat else False if spec.type is bool
+              else None for flag, spec in cmd.flags.items()}
+    given, positional = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return name, None
+        if not token.startswith("-"):
+            positional.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        spec = cmd.flags.get(flag)
+        if spec is None:
+            raise _UsageError(name, f"unrecognized flag {flag}")
+        given.add(flag)
+        if spec.type is bool:
+            if eq:
+                raise _UsageError(name, f"{flag} takes no value")
+            values[flag[2:]] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise _UsageError(name, f"{flag} needs a value")
+        if spec.type is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(
+                    name, f"{flag}: {value!r} is not an integer") from None
+        if spec.choices and value not in spec.choices:
+            raise _UsageError(name, f"{flag}: {value!r} is not one of "
+                                    f"{', '.join(spec.choices)}")
+        values[flag[2:]] = (values[flag[2:]] + (value,) if spec.repeat
+                            else value)
+    for flag, spec in cmd.flags.items():
+        if spec.required and flag not in given:
+            raise _UsageError(name, f"{flag} is required")
+    extra = positional
+    if cmd.positional is not None:
+        dest, arity, _ = cmd.positional
+        if positional and cmd.excludes in given:
+            raise _UsageError(name, f"give {dest.upper()} or {cmd.excludes}, "
+                                    "not both")
+        if arity == "1" and not positional:
+            raise _UsageError(name, f"{dest.upper()} is required")
+        if arity == "*":
+            values[dest], extra = positional, []
+        else:
+            values[dest] = positional[0] if positional else None
+            extra = positional[1:]
+    if extra:
+        raise _UsageError(name, f"unexpected argument {extra[0]!r}")
+    return name, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        name, args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(f"usage: {_synopsis(exc.command)}\nqid: error: {exc}",
+              file=sys.stderr)
+        return 2
+    if args is None:
+        print(_help(name))
+        return 0
+    return COMMANDS[name].handler(args)
 
 
 if __name__ == "__main__":

@@ -344,6 +344,8 @@ def print_expr(e) -> str:
             return f"f{k}"
         case Neg(a):
             return f"(-{print_expr(a)})"
+        case Pow(Pow() as a, n):
+            return f"({print_expr(a)})^{n}"
         case Pow(a, n):
             return f"{print_expr(a)}^{n}"
         case AL(x, base, z):

@@ -13,6 +13,7 @@ as transcription findings rather than suite failures.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -41,6 +42,12 @@ TIERS = ("core", "classical", "background")
 #: of memory; every registry record (at most 300) and every benchmark
 #: listing (at most 500) stays below this.
 MAX_ORDER = 1000
+
+#: Most bits a literal power c^k may hold, estimated before it is computed
+#: as |k| times the bit length of c's numerator or denominator: 64 bits for
+#: each coefficient of a series at MAX_WORK_ORDER.  An unbounded k would
+#: build an integer of any size; 2^20000 is well inside the bound.
+MAX_LITERAL_BITS = 64 * MAX_WORK_ORDER
 
 #: the binary nodes and the series operation each stands for
 _COMBINE = {dsl.Add: add, dsl.Sub: sub, dsl.Mul: mul,
@@ -170,7 +177,8 @@ def _eta_forms(root) -> dict:
     such terms (see _terms).  Where either fails it is a _Rejected naming
     the first offending node from the left.  A coefficient stays an int
     until a non-integral literal, or a division or negative power of a
-    coefficient other than +-1, makes it a Fraction.  The nodes are listed
+    coefficient other than +-1, makes it a Fraction; a literal power
+    estimated above MAX_LITERAL_BITS raises QidError.  The nodes are listed
     parents first from a stack and visited in reverse, so a sum of
     thousands of terms needs no recursion.  The caller keeps root alive
     while it reads the map."""
@@ -210,6 +218,14 @@ def _eta_forms(root) -> dict:
                 if k < 0 and not c:
                     mono = _Rejected("division by zero", node)
                 else:
+                    if c not in (0, 1, -1):
+                        bits = abs(k) * max(c.numerator.bit_length(),
+                                            c.denominator.bit_length())
+                        if bits > MAX_LITERAL_BITS:
+                            raise QidError(
+                                f"literal power {dsl.print_expr(node)} would "
+                                f"hold about {bits} bits, above the limit "
+                                f"{MAX_LITERAL_BITS}")
                     mono = (c ** k if k >= 0 else _reciprocal(c) ** -k, p * k,
                             {f: v * k for f, v in ex.items()})
             summable = mono if type(mono) is _Rejected else True
@@ -302,8 +318,16 @@ class IdentityRecord(Record):
 REGISTRY_PATH = os.path.join(os.path.dirname(__file__), "data", "registry.json")
 
 
-def load_registry(path=None) -> list[IdentityRecord]:
-    with open(REGISTRY_PATH if path is None else path, encoding="utf-8") as fh:
+def load_registry(path=None) -> tuple[IdentityRecord, ...]:
+    """The records of the registry file at path, checked field by field;
+    QidError, OSError or json.JSONDecodeError says why a file is refused.
+
+    The bundled registry (path None) is read and checked once per process
+    and the same tuple is returned from then on; a file named by path is
+    read on every call, so an edit between two calls is seen."""
+    if path is None:
+        return _bundled_registry()
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("records"), list):
         raise QidError("registry lacks a 'records' list")
@@ -326,7 +350,12 @@ def load_registry(path=None) -> list[IdentityRecord]:
     ids = [r.id for r in records]
     if len(ids) != len(set(ids)):
         raise QidError("duplicate record ids in registry")
-    return records
+    return tuple(records)
+
+
+@functools.cache
+def _bundled_registry() -> tuple[IdentityRecord, ...]:
+    return load_registry(REGISTRY_PATH)
 
 
 def check_congruence(sel: str, step: int, residue: int, modulus: int,

@@ -1,16 +1,14 @@
 """Command line interface: exit codes, output shapes, registry resolution."""
 
 import json
-import os
-import subprocess
-import sys
+import re
 import time
 
 import pytest
 
-import qid
 from qid import cli
 from qid.cli import main
+from qid.engine import MAX_LITERAL_BITS, load_registry
 
 
 def run(capsys, *argv):
@@ -206,22 +204,40 @@ def test_order_bound(capsys):
 def test_work_order_bounds_slack_and_substitution(capsys):
     # J, P and AL's theta prefactor start above their order by the
     # binomials with negative exponents; f_k and SUBST spread a series by k
-    # or m.  Each ends fast: the first three as error verdicts, the last two
-    # by building only the window through q^10
-    for expr, status in [("J(q^-3000, 7)", "error"),
-                         ("P(q^-3000, 1, 3000)", "error"),
-                         ("AL(q, 7, q^-100000000)", "error"),
-                         ("f1000000000", "pass"),
-                         ("SUBST(f1, 1000000000)", "pass")]:
+    # or m; a literal power c^k holds about k times c's bits.  Each ends
+    # fast: the bounded ones as error verdicts naming their limit, the rest
+    # by building only the window through q^10 or by the power of -1
+    for expr, status, limit in [
+            ("J(q^-3000, 7)", "error", 8000),
+            ("P(q^-3000, 1, 3000)", "error", 8000),
+            ("AL(q, 7, q^-100000000)", "error", 8000),
+            ("2^10000000000", "error", MAX_LITERAL_BITS),
+            ("((2^1000)^1000)^1000", "error", MAX_LITERAL_BITS),
+            ("f1000000000", "pass", None),
+            ("SUBST(f1, 1000000000)", "pass", None),
+            ("-(-1)^10000000001", "pass", None)]:
         t0 = time.perf_counter()
         code, out, _ = run(capsys, "verify", "--expr", expr, "--expr", "1",
                            "--order", "10")
         assert time.perf_counter() - t0 < 1, expr
         assert out.startswith(f"adhoc: {status}"), (expr, out)
         if status == "error":
-            assert code == 2 and "above the limit 8000" in out, expr
+            assert code == 2 and f"above the limit {limit}" in out, expr
         else:
             assert code == 0, expr
+
+    # param-check expands the same literal powers: one stderr line
+    for expr, power in [("2^10000000000", "2^10000000000"),
+                        ("((2^1000)^1000)^1000", "(2^1000)^1000")]:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "param-check", "--expr", expr)
+        assert time.perf_counter() - t0 < 1, expr
+        assert (code, out) == (2, ""), expr
+        assert err.startswith(f"error: literal power {power} would hold "), err
+        assert err.endswith(f"above the limit {MAX_LITERAL_BITS}\n"), err
+        assert len(err.splitlines()) == 1, err
+    code, out, _ = run(capsys, "param-check", "--expr", "(-1)^10000000001 + 1")
+    assert (code, out) == (0, "ProvedZero\n  polynomial in p collapses to 0\n")
 
 
 @pytest.mark.parametrize("expr, message", [
@@ -353,19 +369,94 @@ def test_param_check_bounds_residual_powers(capsys):
     assert (code, err) == (1, "") and out.startswith("NotZero")
 
 
-def test_parser_built_once_on_first_main(capsys):
-    src = os.path.dirname(os.path.dirname(qid.__file__))
-    currsize = subprocess.run(
-        [sys.executable, "-c",
-         "import qid.cli; print(qid.cli._parser.cache_info().currsize)"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-        text=True, check=True).stdout
-    assert currsize == "0\n"  # nothing is built at import
+@pytest.mark.parametrize("argv, message", [
+    ([], "a command is required"),
+    (["check"], "unknown command 'check' (choose from verify, coeffs, suite, "
+                "param-check, list)"),
+    (["verify", "zero-s0", "--ord", "5"], "unrecognized flag --ord"),
+    (["list", "--json"], "unrecognized flag --json"),
+    (["verify", "-q"], "unrecognized flag -q"),
+    (["verify", "zero-s0", "--order"], "--order needs a value"),
+    (["verify", "--json=yes", "zero-s0"], "--json takes no value"),
+    (["suite", "--order", "ten"], "--order: 'ten' is not an integer"),
+    (["coeffs", "B", "--upto", "3.5"], "--upto: '3.5' is not an integer"),
+    (["coeffs", "B", "--upto", "3", "--mod=x"], "--mod: 'x' is not an integer"),
+    (["suite", "--tier", "gold"],
+     "--tier: 'gold' is not one of core, classical, background"),
+    (["coeffs", "B"], "--upto is required"),
+    (["coeffs", "--upto", "3"], "SERIES is required"),
+    (["list", "nath-das-1.10"], "unexpected argument 'nath-das-1.10'"),
+    (["suite", "core"], "unexpected argument 'core'"),
+    (["coeffs", "A", "B", "--upto", "3"], "unexpected argument 'B'"),
+    (["param-check", "S0", "S1"], "unexpected argument 'S1'"),
+    (["verify", "zero-s0", "--expr", "f1", "--expr", "f1"],
+     "give ID or --expr, not both"),
+    (["param-check", "S0", "--expr", "f1"], "give TARGET or --expr, not both"),
+])
+def test_malformed_calls(capsys, argv, message):
+    # a usage line for the command named, then one error line; no output
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    command = argv[0] if argv and argv[0] in cli.COMMANDS else "{"
+    assert err.splitlines() == [err.splitlines()[0], f"qid: error: {message}"]
+    assert err.startswith(f"usage: qid {command}")
 
-    cli._parser.cache_clear()
-    for _ in range(3):
-        code, out, _ = run(capsys, "verify", "--expr", "q", "--expr", "q",
-                           "--order", "3")
-        assert (code, out) == (0, "adhoc: pass (order 3)\n")
-    info = cli._parser.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["coeffs", "B", "--upto", "3", "--mod", "2"],
+     ["coeffs", "B", "--upto=3", "--mod=2"]),
+    (["verify", "--expr", "f1-f1", "--expr", "0", "--order", "10"],
+     ["verify", "--expr=f1-f1", "--expr=0", "--order=10"]),
+    (["verify", "nath-das-1.10", "--order", "40"],
+     ["verify", "--order=40", "nath-das-1.10"]),
+    (["suite", "--tier", "background", "--order", "20"],
+     ["suite", "--order=20", "--tier=background"]),
+    (["param-check", "--expr", "f1-f1"], ["param-check", "--expr=f1-f1"]),
+])
+def test_flag_equals_value(capsys, spaced, joined):
+    assert run(capsys, *spaced) == run(capsys, *joined)
+
+
+def test_flag_values(capsys):
+    # a value may start with "-"; a single-value flag keeps its last value
+    code, out, err = run(capsys, "verify", "--expr", "-q", "--expr", "-q",
+                         "--order", "5")
+    assert (code, out, err) == (0, "adhoc: pass (order 5)\n", "")
+    code, out, _ = run(capsys, "coeffs", "B", "--upto", "9", "--upto=1")
+    assert (code, out) == (0, "0 1\n1 2\n")
+    code, out, err = run(capsys, "param-check", "--expr", "f1", "--expr=-f1+f1")
+    assert (code, out[:10], err) == (0, "ProvedZero", "")
+
+
+def test_help_lists_every_flag(capsys):
+    for argv in (["-h"], ["--help"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        for name, cmd in cli.COMMANDS.items():
+            synopsis = next(line for line in out.splitlines()
+                            if line.startswith(f"  qid {name} "))
+            assert re.findall(r"--[a-z]+", synopsis) == list(cmd.flags)
+    for name, cmd in cli.COMMANDS.items():
+        # help ends the parse: a bad flag after it is never read
+        for argv in ([name, "--help"], [name, "-h", "--no-such-flag"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out.startswith(f"usage: qid {name}")
+            for flag, spec in cmd.flags.items():
+                assert f"  {flag}" in out and spec.help in out, flag
+
+
+def test_bundled_registry_read_once(tmp_path, capsys, monkeypatch):
+    assert load_registry() is load_registry()
+
+    # a named registry is read on every call: an edit between two is seen
+    reg = tmp_path / "reg.json"
+    for rid in ("first", "second"):
+        reg.write_text(json.dumps({"records": [
+            {"id": rid, "tier": "core", "lhs": "q", "rhs": "q", "order": 5}]}))
+        code, out, _ = run(capsys, "list", "--registry", str(reg))
+        assert (code, out.split()[0]) == (0, rid)
+        monkeypatch.setenv("QID_REGISTRY", str(reg))
+        code, out, _ = run(capsys, "verify", rid)
+        assert (code, out) == (0, f"{rid}: pass (order 5)\n")
+        monkeypatch.delenv("QID_REGISTRY")

@@ -151,7 +151,7 @@ def test_leading_zeros_in_eta_index():
 def test_round_trip_simple():
     for src in ["f2^7*f3^2/(f1^6*f4*f6)", "-(1/q)*AL(q^0, 4, q^3)",
                 "SUBST(EXTRACT(MT(MU2), 3, 1), 2)", "q^2 - 1/2",
-                "J(-q, 3)*P(-q^2, 2, 5)"]:
+                "J(-q, 3)*P(-q^2, 2, 5)", "((2^3)^-2)^4"]:
         ast = parse(src)
         assert parse(print_expr(ast)) == ast
 
@@ -197,6 +197,8 @@ def full_parens(e):
             return f"({full_parens(a)}{op}{full_parens(b)})"
         case Neg(a):
             return f"(-{full_parens(a)})"
+        case Pow(Pow() as a, n):
+            return f"({full_parens(a)})^{n}"
         case Pow(a, n):
             return f"{full_parens(a)}^{n}"
     return print_expr(e)

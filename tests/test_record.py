@@ -169,17 +169,22 @@ def test_copy_and_pickle_round_trip():
 
 
 def test_import_avoids_heavy_modules():
-    """Every qid process imports qid.cli and qid.engine and loads the
-    registry; none of that may pull in dataclasses (and with it inspect) or
-    importlib.resources.  -S keeps site-packages' .pth files from importing
-    them first."""
+    """Every qid process imports qid.cli and qid.engine, loads the registry
+    and runs a command; none of that may pull in dataclasses (and with it
+    inspect), importlib.resources, or argparse (and with it gettext and
+    locale).  -S keeps site-packages' .pth files from importing them
+    first."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qid.__file__)))
     code = (
-        "import sys\n"
+        "import io, sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "import qid.cli, qid.engine\n"
         "assert len(qid.engine.load_registry()) > 0\n"
-        "heavy = ('dataclasses', 'inspect', 'importlib.resources')\n"
+        "sys.stdout = io.StringIO()\n"
+        "assert qid.cli.main(['list']) == 0\n"
+        "sys.stdout = sys.__stdout__\n"
+        "heavy = ('dataclasses', 'inspect', 'importlib.resources',\n"
+        "         'argparse', 'gettext', 'locale')\n"
         "print(' '.join(m for m in heavy if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-S", "-E", "-c", code],
                           capture_output=True, text=True, timeout=120)
