@@ -204,9 +204,6 @@ def cmd_param_check(args) -> int:
     print(outcome.status)
     if outcome.detail:
         print(f"  {outcome.detail}")
-    if outcome.numeric_report:
-        for p, value, small in outcome.numeric_report:
-            print(f"  p={p}: {value} ({'~0' if small else 'nonzero'})")
     return 0 if outcome.proved else 1
 
 

@@ -2,27 +2,38 @@
 f_1, f_2, f_3, f_4, f_6, f_12 via the (p,k)-parametrization.
 
 Each f_k is a product of fractional powers of the eight bases
-(2, p, 1-p, 1+p, 1+2p, 2+p, k, q).  A term of an eta expression therefore
-maps to an 8-vector of rational exponents with denominators dividing 24.
-If the k- and q-exponents agree across all terms they factor out, and
-after removing the componentwise minimum the remaining exponents must be
-nonnegative integers, reducing the claim to a polynomial identity in p
-that is expanded and checked exactly.
+(2, p, 1-p, 1+p, 1+2p, 2+p, k, q), so a term maps to an 8-vector of
+exponents with denominators dividing 24.  Terms whose k- or q-exponents
+differ are NonUniform.  Otherwise those factor out, and the terms fall
+into classes by their other six exponents mod 1.  Less its componentwise
+minimum a class has integer exponents, so it is that factor times a
+polynomial in p, expanded exactly.  The expression is ProvedZero when
+every class polynomial is zero, else NotZero, reported for the first class
+in term order whose polynomial is not, with its factor relative to the
+smallest exponents of all terms.
 
-The proof runs in integers.  Exponents are kept as 24 times their value
-(BASE_VECTORS scaled by 24), so the uniformity and integrality checks are
-integer comparisons and `% 24`.  Each residual power (a + b*p)^n is
-expanded by binomial coefficients, the powers of one term are multiplied
-with the series kernel `_convolve_int`, and the terms are summed over the
-common denominator of their coefficients.  Fractions appear only in what
-is reported: param_vector_of_term, the messages, the NotZero polynomial
-and the NonIntegral numeric evaluation.
+Each class decides on its own.  Let p be transcendental,
+L = Q(zeta_24, 2^(1/24)) and K = L(p).  By Kummer theory (Lang, Algebra,
+VI Sec. 8) products of powers of p, 1-p, 1+p, 1+2p and 2+p with exponents
+in Z/24 that lie in distinct classes mod K* are linearly independent over
+K.  These five bases are distinct primes of L[p], so products whose
+exponents differ by a non-integer lie in distinct classes, and the
+coefficient of each, in Q(p)(2^(1/24)), must vanish.  x^24 - 2 is
+irreducible over Q(p) (Eisenstein's criterion at 2), so 1, 2^(1/24), ...,
+2^(23/24) are linearly independent over Q(p): each class of the exponent
+of 2 must vanish too.
 
-The expressions come from the registry: `qid param-check ID` proves
-lhs - rhs of the identity record ID zero, read as
-expr_to_eta(parse("(lhs) - (rhs)")), with S0, S1, H0, H1 and R0 naming the
-split components zero-s0 ... zero-r0.  The independent numeric path for
-the same record is engine.verify, which expands both sides as series.
+The proof runs in integers: exponents are kept as 24 times their value,
+so the checks are integer comparisons and `% 24`; each residual power
+(a + b*p)^n is expanded by binomial coefficients, a term's powers are
+multiplied with the series kernel `_convolve_int`, and a class's terms are
+summed over the common denominator of their coefficients.  Fractions
+appear only in what is reported.
+
+`qid param-check ID` proves lhs - rhs of the registry identity ID zero,
+read as expr_to_eta(parse("(lhs) - (rhs)")); S0, S1, H0, H1 and R0 name
+zero-s0 ... zero-r0.  The independent numeric path for the same record is
+engine.verify, which expands both sides as series.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from .series import _convolve_int
 
 _F = Fraction
 
-# exponent slots: (2, p, 1-p, 1+p, 1+2p, 2+p, k, q)
+#: the exponent slots
 SLOTS = ("2", "p", "1-p", "1+p", "1+2p", "2+p", "k", "q")
 
 
@@ -54,25 +65,14 @@ class ParamVector(Record):
                 self.ek, self.eq)
 
 
-#: f_k -> exponent vector over (2, p, 1-p, 1+p, 1+2p, 2+p, k, q)
-BASE_VECTORS: dict[int, ParamVector] = {
-    1: ParamVector(_F(-1, 6), _F(1, 24), _F(1, 2), _F(1, 6), _F(1, 8), _F(1, 8),
-                   _F(1, 2), _F(-1, 24)),
-    2: ParamVector(_F(-1, 3), _F(1, 12), _F(1, 4), _F(1, 12), _F(1, 4), _F(1, 4),
-                   _F(1, 2), _F(-1, 12)),
-    3: ParamVector(_F(-1, 6), _F(1, 8), _F(1, 6), _F(1, 2), _F(1, 24), _F(1, 24),
-                   _F(1, 2), _F(-1, 8)),
-    4: ParamVector(_F(-2, 3), _F(1, 6), _F(1, 8), _F(1, 24), _F(1, 8), _F(1, 2),
-                   _F(1, 2), _F(-1, 6)),
-    6: ParamVector(_F(-1, 3), _F(1, 4), _F(1, 12), _F(1, 4), _F(1, 12), _F(1, 12),
-                   _F(1, 2), _F(-1, 4)),
-    12: ParamVector(_F(-2, 3), _F(1, 2), _F(1, 24), _F(1, 8), _F(1, 24), _F(1, 6),
-                    _F(1, 2), _F(-1, 2)),
-}
+#: f_k -> 24 times its exponent vector over SLOTS, in integers
+_BASE24 = {1: (-4, 1, 12, 4, 3, 3, 12, -1), 2: (-8, 2, 6, 2, 6, 6, 12, -2),
+           3: (-4, 3, 4, 12, 1, 1, 12, -3), 4: (-16, 4, 3, 1, 3, 12, 12, -4),
+           6: (-8, 6, 2, 6, 2, 2, 12, -6), 12: (-16, 12, 1, 3, 1, 4, 12, -12)}
 
-#: BASE_VECTORS times 24: every exponent as an integer count of 1/24
-_BASE24 = {k: tuple(c.numerator * 24 // c.denominator for c in v.as_tuple())
-           for k, v in BASE_VECTORS.items()}
+#: f_k -> its exponent vector over SLOTS
+BASE_VECTORS = {k: ParamVector(*(_F(c, 24) for c in v))
+                for k, v in _BASE24.items()}
 
 
 def _vector24(t: EtaMonomial) -> list[int]:
@@ -131,41 +131,14 @@ MAX_POWER = MAX_WORK_ORDER // 8
 
 
 class ParamProofOutcome(Record):
-    """status is "ProvedZero", "NotZero", "NonUniform" or "NonIntegral"."""
+    """status is "ProvedZero", "NotZero" or "NonUniform"."""
 
-    __slots__ = __match_args__ = ("status", "detail", "polynomial",
-                                  "numeric_report")
-    _defaults = {"detail": "", "polynomial": None, "numeric_report": ()}
+    __slots__ = __match_args__ = ("status", "detail", "polynomial")
+    _defaults = {"detail": "", "polynomial": None}
 
     @property
     def proved(self) -> bool:
         return self.status == "ProvedZero"
-
-
-_SAMPLE_POINTS = (_F(1, 7), _F(1, 5), _F(1, 3), _F(1, 2), _F(2, 3))
-
-
-def _numeric_report(terms, residuals):
-    """Advisory 200-digit evaluation at rational sample points p in (0,1),
-    with the uniform k/q factors and the common minimum vector removed;
-    residuals holds 24 times each term's remaining exponents."""
-    import mpmath
-
-    report = []
-    with mpmath.workdps(200):
-        tol = mpmath.mpf(10) ** -150
-        for p in _SAMPLE_POINTS:
-            pv = mpmath.mpf(p.numerator) / p.denominator
-            bases = (mpmath.mpf(2), pv, 1 - pv, 1 + pv, 1 + 2 * pv, 2 + pv)
-            total = mpmath.mpf(0)
-            for t, resid in zip(terms, residuals):
-                val = mpmath.mpf(t.coeff.numerator) / t.coeff.denominator
-                for b, r in zip(bases, resid[:6]):
-                    e = _F(r, 24)
-                    val *= mpmath.power(b, mpmath.mpf(e.numerator) / e.denominator)
-                total += val
-            report.append((p, mpmath.nstr(total, 20), bool(abs(total) < tol)))
-    return tuple(report)
 
 
 def prove_zero(e: EtaExpression) -> ParamProofOutcome:
@@ -173,42 +146,45 @@ def prove_zero(e: EtaExpression) -> ParamProofOutcome:
         raise ValueError("prove_zero requires a nonempty expression")
     vectors = [_vector24(t) for t in e.terms]
 
-    ks = {v[6] for v in vectors}
-    qs = {v[7] for v in vectors}
+    ks, qs = ({v[i] for v in vectors} for i in (6, 7))
     if len(ks) > 1 or len(qs) > 1:
         ks, qs = (sorted(_F(x, 24) for x in xs) for xs in (ks, qs))
         return ParamProofOutcome(
             "NonUniform", f"k-exponents {ks}, q-exponents {qs} are not uniform")
 
-    mins = [min(col) for col in zip(*vectors)]
-    residuals = [[a - m for a, m in zip(v, mins)] for v in vectors]
-    if any(c % 24 for r in residuals for c in r):
-        return ParamProofOutcome(
-            "NonIntegral",
-            "residual exponents are not all integers; numeric evaluation attached",
-            numeric_report=_numeric_report(e.terms, residuals))
+    # the classes of the six p-slot exponents mod 1, in term order
+    classes: dict[tuple, list] = {}
+    for t, v in zip(e.terms, vectors):
+        classes.setdefault(tuple([c % 24 for c in v[:6]]), []).append((t, v))
+    lows = [min(col) for col in zip(*vectors)]
+    for members in classes.values():
+        mins = [min(col) for col in zip(*(v for _, v in members))]
+        residuals = [[a - m for a, m in zip(v, mins)] for _, v in members]
+        # sum_i c_i 2^r0 p^r1 (1-p)^r2 (1+p)^r3 (1+2p)^r4 (2+p)^r5 over the
+        # common denominator of the c_i
+        power = max(sum(r[:6]) for r in residuals) // 24
+        if power > MAX_POWER:
+            raise QidError(f"a term's residual powers of 2, p, 1-p, 1+p, 1+2p "
+                           f"and 2+p sum to {power}, above the limit {MAX_POWER}")
+        den = lcm(*(t.coeff.denominator for t, _ in members))
+        total: list[int] = []
+        for (t, _), r in zip(members, residuals):
+            e2, ep, *rest = (c // 24 for c in r[:6])
+            poly = [t.coeff.numerator * (den // t.coeff.denominator) << e2]
+            for (a, b), n in zip(_BINOMIALS, rest):
+                if n:
+                    poly = _convolve_int(poly, _binomial_power(a, b, n),
+                                         len(poly) + n)
+            poly[:0] = [0] * ep
+            if len(poly) > len(total):
+                total += [0] * (len(poly) - len(total))
+            total[:len(poly)] = map(add, total, poly)
 
-    # sum_i c_i 2^r0 p^r1 (1-p)^r2 (1+p)^r3 (1+2p)^r4 (2+p)^r5 over the
-    # common denominator of the c_i
-    power = max(sum(r[:6]) for r in residuals) // 24
-    if power > MAX_POWER:
-        raise QidError(f"a term's residual powers of 2, p, 1-p, 1+p, 1+2p "
-                       f"and 2+p sum to {power}, above the limit {MAX_POWER}")
-    den = lcm(*(t.coeff.denominator for t in e.terms))
-    total: list[int] = []
-    for t, r in zip(e.terms, residuals):
-        e2, ep, *rest = (c // 24 for c in r[:6])
-        poly = [t.coeff.numerator * (den // t.coeff.denominator) << e2]
-        for (a, b), n in zip(_BINOMIALS, rest):
-            if n:
-                poly = _convolve_int(poly, _binomial_power(a, b, n), len(poly) + n)
-        poly[:0] = [0] * ep
-        if len(poly) > len(total):
-            total += [0] * (len(poly) - len(total))
-        total[:len(poly)] = map(add, total, poly)
-
-    if not any(total):
-        return ParamProofOutcome("ProvedZero", "polynomial in p collapses to 0")
-    poly = PPolynomial.make([_F(c, den) for c in total])
-    return ParamProofOutcome("NotZero", f"residual polynomial: {poly}",
-                             polynomial=poly)
+        if any(total):
+            poly = PPolynomial.make([_F(c, den) for c in total])
+            factor = "*".join(f"({s})^({fraction_str(_F(m - lo, 24))})"
+                              for s, m, lo in zip(SLOTS, mins, lows) if m != lo)
+            return ParamProofOutcome(
+                "NotZero", f"residual polynomial: {poly}"
+                + (f", times {factor}" if factor else ""), polynomial=poly)
+    return ParamProofOutcome("ProvedZero", "polynomial in p collapses to 0")

@@ -226,6 +226,29 @@ def test_work_order_bounds_slack_and_substitution(capsys):
         else:
             assert code == 0, expr
 
+    # a power of a series that is not one eta-quotient term is estimated
+    # before it is computed: a lowest coefficient 2, binomial growth alone,
+    # or geometric growth (coefficients 1024^i) is enough to refuse it;
+    # small powers evaluate, checked against products and a quotient
+    for expr, order, status, other in [
+            ("(2+q)^3000000", 5, "error", "1"),
+            ("(1+q)^10000000000", 1000, "error", "1"),
+            ("(1+q)^-10000000000", 1000, "error", "1"),
+            ("(1-1024*q)^-2", 1000, "error", "1"),
+            ("(1+q)^3", 10, "pass", "1 + 3*q + 3*q^2 + q^3"),
+            ("(f1+q)^-3", 10, "pass", "1/((f1+q)*(f1+q)*(f1+q))"),
+            ("(1+q)^200", 1000, "pass", "(1+q)^100*(1+q)^100")]:
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--expr", expr, "--expr", other,
+                           "--order", str(order))
+        assert time.perf_counter() - t0 < 1, expr
+        assert out.startswith(f"adhoc: {status}"), (expr, out)
+        if status == "error":
+            assert code == 2 and " would hold about " in out, expr
+            assert f"above the limit {MAX_LITERAL_BITS}" in out, expr
+        else:
+            assert code == 0, expr
+
     # param-check expands the same literal powers: one stderr line
     for expr, power in [("2^10000000000", "2^10000000000"),
                         ("((2^1000)^1000)^1000", "(2^1000)^1000")]:

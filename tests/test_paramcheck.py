@@ -13,6 +13,7 @@ from qid import (BASE_VECTORS, UnsupportedEtaIndexError, eta_expression,
                  param_vector_of_term, prove_zero, verify)
 from qid.cli import main
 from qid.dsl import parse
+from qid.qproducts import eta_expression_eval
 
 F = Fraction
 
@@ -89,14 +90,46 @@ def test_non_uniform_detected():
     assert prove_zero(e).status == "NonUniform"
 
 
-def test_non_integral_reports_numerics():
-    # uniform k and q exponents but fractional residual exponents
+def test_fractional_classes_decided_exactly():
+    # uniform k and q exponents; the two terms' exponents of 2, 1-p, 1+p,
+    # 1+2p and 2+p differ by non-integers, so each is a class of its own
     e = eta_expression([(1, 0, {1: 4}), (-1, 1, {12: 2, 2: 2})])
     out = prove_zero(e)
-    assert out.status == "NonIntegral"
-    assert len(out.numeric_report) == 5
-    for p, value, small in out.numeric_report:
-        assert 0 < p < 1
+    assert out.status == "NotZero"
+    assert out.polynomial.coeffs == (1,)
+    assert out.detail == ("residual polynomial: 1, times "
+                          "(2)^(4/3)*(1-p)^(17/12)*(1+p)^(1/4)")
+
+
+def times(e, a, exps):
+    """The terms of e, each multiplied by q^a prod f_k^exps[k]."""
+    out = []
+    for t in e.terms:
+        ex = dict(t.exps)
+        for k, x in exps.items():
+            ex[k] = ex.get(k, 0) + x
+        out.append((t.coeff, t.qpow + a, ex))
+    return out
+
+
+def test_two_class_identity(registry):
+    # zero-s0 times f1 plus zero-r0 times q f12^2 f2 / f1^3: uniform k and
+    # q exponents, two classes, each of which vanishes on its own
+    s0 = times(difference(registry["zero-s0"]), 0, {1: 1})
+    r0 = times(difference(registry["zero-r0"]), 1, {12: 2, 2: 1, 1: -3})
+    e = eta_expression(s0 + r0)
+    vectors = [param_vector_of_term(t).as_tuple()[:6] for t in e.terms]
+    assert len({tuple(x % 1 for x in v) for v in vectors}) == 2
+    assert prove_zero(e).status == "ProvedZero"
+    assert not any(eta_expression_eval(e, 60).coeffs)
+    # either class broken alone is found; the second one after the first
+    # has vanished, with its factor relative to the smallest exponents
+    for i in (0, len(s0)):
+        out = prove_zero(with_term(e, i, coeff=2 * e.terms[i].coeff))
+        assert out.status == "NotZero", i
+    assert out.detail == (
+        "residual polynomial: 24*p^1 + 24*p^2, times (2)^(8/3)*(p)^(1)"
+        "*(1-p)^(31/12)*(1+p)^(7/4)*(2+p)^(4/3)")
 
 
 def test_not_zero_attaches_polynomial():
@@ -154,16 +187,11 @@ def test_param_check_non_uniform_output(capsys):
            "Fraction(19, 24)] are not uniform\n")
 
 
-def test_param_check_non_integral_output(capsys):
+def test_param_check_two_class_output(capsys):
     assert param_check_output(capsys, "--expr", "f1^4 - q*f12^2*f2^2") == (
-        1, "NonIntegral\n"
-           "  residual exponents are not all integers; numeric evaluation "
-           "attached\n"
-           "  p=1/7: 1.9061834109041725938 (nonzero)\n"
-           "  p=1/5: 1.6550429616789532301 (nonzero)\n"
-           "  p=1/3: 1.0632188624752640761 (nonzero)\n"
-           "  p=1/2: 0.32561231444914244258 (nonzero)\n"
-           "  p=2/3: -0.38828868262735494753 (nonzero)\n")
+        1, "NotZero\n"
+           "  residual polynomial: 1, times "
+           "(2)^(4/3)*(1-p)^(17/12)*(1+p)^(1/4)\n")
 
 
 # -- every proof can fail -------------------------------------------------------
@@ -188,12 +216,12 @@ def test_zero_records_break_when_edited(registry, rid):
         assert prove_zero(with_term(e, i, exps={**dict(t.exps), k: x + 1})
                           ).status == "NonUniform", (rid, i)
         # f1^2 f4 / f2^3 keeps the k- and q-exponents but adds 3/8 to the
-        # exponent of 1-p
+        # exponent of 1-p: the term is a class of its own, and nonzero
         ex = dict(t.exps)
         for k, d in ((1, 2), (2, -3), (4, 1)):
             ex[k] = ex.get(k, 0) + d
         assert prove_zero(with_term(e, i, exps=ex)).status == \
-            "NonIntegral", (rid, i)
+            "NotZero", (rid, i)
 
 
 # -- the integer prover against a Fraction reference ---------------------------
@@ -203,7 +231,9 @@ _REF_BASES = ((0, 1), (1, -1), (1, 1), (1, 2), (2, 1))
 
 
 def reference_prove(e):
-    """(status, polynomial coefficients) by plain Fraction arithmetic."""
+    """(status, polynomial coefficients) by plain Fraction arithmetic: the
+    terms grouped by the fractional parts of their first six exponents,
+    each group expanded less its own minimum, the first nonzero reported."""
     vectors = []
     for t in e.terms:
         v = [F(0)] * 7 + [F(t.qpow)]
@@ -212,26 +242,31 @@ def reference_prove(e):
         vectors.append(v)
     if len({v[6] for v in vectors}) > 1 or len({v[7] for v in vectors}) > 1:
         return "NonUniform", None
-    mins = [min(col) for col in zip(*vectors)]
-    residuals = [[a - m for a, m in zip(v, mins)] for v in vectors]
-    if any(c.denominator != 1 for r in residuals for c in r):
-        return "NonIntegral", None
-    total = []
-    for t, r in zip(e.terms, residuals):
-        poly = [t.coeff * 2 ** int(r[0])]
-        for base, x in zip(_REF_BASES, r[1:6]):
-            for _ in range(int(x)):
-                out = [F(0)] * (len(poly) + 1)
-                for i, c in enumerate(poly):
-                    out[i] += c * base[0]
-                    out[i + 1] += c * base[1]
-                poly = out
-        total += [F(0)] * (len(poly) - len(total))
-        for i, c in enumerate(poly):
-            total[i] += c
-    while total and total[-1] == 0:
-        total.pop()
-    return ("NotZero", tuple(total)) if total else ("ProvedZero", None)
+    groups = {}
+    for t, v in zip(e.terms, vectors):
+        groups.setdefault(tuple(c % 1 for c in v[:6]), []).append((t, v))
+    for group in groups.values():
+        mins = [min(col) for col in zip(*(v for _, v in group))]
+        total = []
+        for t, v in group:
+            r = [a - m for a, m in zip(v, mins)]
+            assert all(c.denominator == 1 for c in r)
+            poly = [t.coeff * 2 ** int(r[0])]
+            for base, x in zip(_REF_BASES, r[1:6]):
+                for _ in range(int(x)):
+                    out = [F(0)] * (len(poly) + 1)
+                    for i, c in enumerate(poly):
+                        out[i] += c * base[0]
+                        out[i + 1] += c * base[1]
+                    poly = out
+            total += [F(0)] * (len(poly) - len(total))
+            for i, c in enumerate(poly):
+                total[i] += c
+        while total and total[-1] == 0:
+            total.pop()
+        if total:
+            return "NotZero", tuple(total)
+    return "ProvedZero", None
 
 
 _INDICES = (1, 2, 3, 4, 6, 12)
@@ -249,8 +284,8 @@ _exps = st.lists(st.integers(-3, 3), min_size=6, max_size=6)
 def eta_sums(draw):
     """Sums over f1..f12 in which every status occurs.  Each further term
     is the first one times an eta quotient that is integral (a sum of
-    _INTEGRAL_MOVES), or of weight 0 with an integral q-offset, or is
-    unrelated to it."""
+    _INTEGRAL_MOVES), or of weight 0 with an integral q-offset (mostly in
+    another class), or is unrelated to it."""
     base = draw(_exps)
     terms = [(draw(_coeffs), draw(st.integers(-2, 2)), base)]
     for _ in range(draw(st.integers(0, 3))):
@@ -286,3 +321,13 @@ def test_prove_zero_matches_fraction_reference(e):
     status, poly = reference_prove(e)
     assert out.status == status
     assert (out.polynomial.coeffs if out.polynomial else None) == poly
+
+
+@settings(max_examples=200, deadline=None)
+@given(eta_sums())
+def test_prove_zero_matches_series(e):
+    # every decided input: ProvedZero exactly when the series vanishes (a
+    # NonUniform sum may still cancel term by term, so it is left out)
+    out = prove_zero(e)
+    if out.status != "NonUniform":
+        assert out.proved == (not any(eta_expression_eval(e, 100).coeffs))

@@ -77,7 +77,7 @@ def test_keyword_and_default_construction():
     assert VerificationOutcome("pass", 4) == VerificationOutcome("pass", 4, None, "")
     assert EtaExpression().terms == ()
     assert PPolynomial() == PPolynomial(())
-    assert ParamProofOutcome("NotZero").numeric_report == ()
+    assert ParamProofOutcome("NotZero") == ParamProofOutcome("NotZero", "", None)
 
 
 @pytest.mark.parametrize("args, kwargs, word", [
@@ -172,8 +172,9 @@ def test_import_avoids_heavy_modules():
     """Every qid process imports qid.cli and qid.engine, loads the registry
     and runs a command; none of that may pull in dataclasses (and with it
     inspect), importlib.resources, or argparse (and with it gettext and
-    locale).  -S keeps site-packages' .pth files from importing them
-    first."""
+    locale), and param-check of an expression whose terms fall into two
+    classes needs no mpmath.  -S keeps site-packages' .pth files from
+    importing them first."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qid.__file__)))
     code = (
         "import io, sys\n"
@@ -182,9 +183,13 @@ def test_import_avoids_heavy_modules():
         "assert len(qid.engine.load_registry()) > 0\n"
         "sys.stdout = io.StringIO()\n"
         "assert qid.cli.main(['list']) == 0\n"
+        "assert qid.cli.main(['param-check', '--expr',\n"
+        "                     'f1^4 - q*f12^2*f2^2']) == 1\n"
+        "assert sys.stdout.getvalue().endswith('\\nNotZero\\n  residual "
+        "polynomial: 1, times (2)^(4/3)*(1-p)^(17/12)*(1+p)^(1/4)\\n')\n"
         "sys.stdout = sys.__stdout__\n"
         "heavy = ('dataclasses', 'inspect', 'importlib.resources',\n"
-        "         'argparse', 'gettext', 'locale')\n"
+        "         'argparse', 'gettext', 'locale', 'mpmath')\n"
         "print(' '.join(m for m in heavy if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-S", "-E", "-c", code],
                           capture_output=True, text=True, timeout=120)
