@@ -26,11 +26,11 @@ from .dissection import dissect_extract
 from .errors import NotInvertibleError, QidError
 from .mock_theta import mock_theta_series
 from .outcome import VerificationOutcome, compare_series, int_str
-from .qproducts import (MAX_WORK_ORDER, EtaExpression, SignedMonomial,
-                        check_work_order, eta_expression, eta_expression_eval,
-                        pochhammer_finite, theta_j)
+from .qproducts import (EtaExpression, SignedMonomial, eta_expression,
+                        eta_expression_eval, pochhammer_finite, theta_j)
 from .record import Record
-from .series import TruncatedLaurentSeries
+from .series import (MAX_LITERAL_BITS, TruncatedLaurentSeries, check_bits,
+                     check_work_order)
 
 TIERS = ("core", "classical", "background")
 
@@ -42,34 +42,6 @@ TIERS = ("core", "classical", "background")
 #: of memory; every registry record (at most 300) and every benchmark
 #: listing (at most 500) stays below this.
 MAX_ORDER = 1000
-
-#: Most bits a power may hold, estimated before it is computed: for a
-#: literal c^k, |k| times the bit length of c's numerator or denominator;
-#: for a series, see _check_power_bits.  64 bits for each coefficient of a
-#: series at MAX_WORK_ORDER; 2^20000 is well inside the bound.
-MAX_LITERAL_BITS = 64 * MAX_WORK_ORDER
-
-def _check_power_bits(node, s: TruncatedLaurentSeries, k: int) -> None:
-    """Refuse s^k, k > 1, estimated above MAX_LITERAL_BITS before it is
-    computed.  With c_0, c_1, ... the numerators of s from its lowest term,
-    |c_i| <= |c_0| R^i and S = sum |c_i|, the j-th numerator of s^k is at
-    most S^k and at most |c_0|^k R^j C(k+j-1, j), the coefficient of
-    c_0^k/(1 - Rq)^k; the denominator is at most s.den^k."""
-    low = s.lowest_nonzero()
-    if k < 2 or low is None:
-        return
-    cs = s.coeffs[low - s.min_exp:]
-    j, h = len(cs) - 1, abs(cs[0]).bit_length() - 1
-    growth = max([0] + [-(-j * ((abs(a) - 1).bit_length() - h) // i)
-                        for i, a in enumerate(cs) if i and a])
-    each = min(k * (sum(map(abs, cs)) - 1).bit_length(),
-               k * (abs(cs[0]) - 1).bit_length() + growth
-               + min(j, k - 1) * (k + j - 2).bit_length())
-    bits = len(cs) * each + k * (s.den - 1).bit_length()
-    if bits > MAX_LITERAL_BITS:
-        raise QidError(f"power {dsl.print_expr(node)} would hold about {bits} "
-                       f"bits, above the limit {MAX_LITERAL_BITS}")
-
 
 #: the binary nodes and the series operation each stands for
 _COMBINE = {dsl.Add: add, dsl.Sub: sub, dsl.Mul: mul,
@@ -104,11 +76,7 @@ def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
         case dsl.Neg(a):
             return -_eval(a, n, forms)
         case dsl.Pow(a, k):
-            s = _eval(a, n, forms)
-            if k < 0:
-                s, k = s.invert(), -k
-            _check_power_bits(e, s, k)
-            return s.pow(k)
+            return _eval(a, n, forms).pow(k)
         case dsl.AL(x, base, z):
             return appell_lerch_m(AppellLerchSpec(x, base, z), n)
         case dsl.J(z, base):
@@ -245,13 +213,10 @@ def _eta_forms(root) -> dict:
                     mono = _Rejected("division by zero", node)
                 else:
                     if c not in (0, 1, -1):
-                        bits = abs(k) * max(c.numerator.bit_length(),
-                                            c.denominator.bit_length())
-                        if bits > MAX_LITERAL_BITS:
-                            raise QidError(
-                                f"literal power {dsl.print_expr(node)} would "
-                                f"hold about {bits} bits, above the limit "
-                                f"{MAX_LITERAL_BITS}")
+                        check_bits(f"literal power {dsl.print_expr(node)}",
+                                   abs(k) * max(c.numerator.bit_length(),
+                                                c.denominator.bit_length()),
+                                   MAX_LITERAL_BITS)
                     mono = (c ** k if k >= 0 else _reciprocal(c) ** -k, p * k,
                             {f: v * k for f, v in ex.items()})
             summable = mono if type(mono) is _Rejected else True

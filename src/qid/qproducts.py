@@ -13,26 +13,18 @@ from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
-from .errors import QidError, ThetaVanishesError
+from .errors import ThetaVanishesError
 from .record import Record
-from .series import TruncatedLaurentSeries
+from .series import (MAX_LITERAL_BITS, MAX_WORK_ORDER,
+                     TruncatedLaurentSeries, check_work_order, checked_product)
 
 _CACHE_STEP = 64
 
-#: Largest order any step of an evaluation works at: eight times the
-#: largest order the CLI accepts (engine.MAX_ORDER, 1000).  EXTRACT(e, m, r)
-#: evaluates e at m*n + r, eval_expr pads the order of Laurent and
-#: Appell-Lerch terms, pochhammer_finite starts above its order by its
-#: negative binomial exponents, and theta_j refuses the span its product
-#: form would cover; the registry's largest EXTRACT modulus is 6, which
-#: stays within this at order 1000 with room for padding.
-MAX_WORK_ORDER = 8000
-
-
-def check_work_order(n: int) -> None:
-    if n > MAX_WORK_ORDER:
-        raise QidError(f"evaluation would work at order {n}, "
-                       f"above the limit {MAX_WORK_ORDER}")
+#: Most bits one product of _f1_power may hold (see checked_product):
+#: the last product of f_1^1000 at order 1000, built through q^1024, may
+#: hold about 1.1 million.  So f_1^e is built for e up to 1247 at order
+#: 1000 and 61 at MAX_WORK_ORDER, and refused fast above.
+MAX_ETA_BITS = 5 * MAX_LITERAL_BITS // 2
 
 
 class SignedMonomial(Record):
@@ -115,17 +107,19 @@ _eta_power_cache: dict[int, TruncatedLaurentSeries] = {}
 def _f1_power(e: int, order: int) -> TruncatedLaurentSeries:
     """f_1^e, e >= 1, order >= 0: f_1 is Euler's pentagonal series
     j(q; q^3), and f_1^e is (f_1^(e//2))^2, times f_1 when e is odd, so
-    one request caches O(log e) powers."""
+    one request caches O(log e) powers.  A product that may hold more than
+    MAX_ETA_BITS is refused before it is computed."""
     cached = _eta_power_cache.get(e)
     if cached is None or cached.order < order:
         work = -(-max(order, 1) // _CACHE_STEP) * _CACHE_STEP
         if e == 1:
             s = theta_j(SignedMonomial(1, 1), 3, work)
         else:
+            what = f"a product in the power f1^{e}"
             half = _f1_power(e // 2, work)
-            s = half * half
+            s = checked_product(half, half, what, MAX_ETA_BITS)
             if e % 2:
-                s = s * _f1_power(1, work)
+                s = checked_product(s, _f1_power(1, work), what, MAX_ETA_BITS)
         _eta_power_cache[e] = cached = s
     return cached.truncate(order)
 

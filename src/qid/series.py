@@ -19,15 +19,66 @@ All coefficient arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .errors import NotInvertibleError, TruncationError
+from .errors import NotInvertibleError, QidError, TruncationError
 from .record import Record
 
 # Below this many nonzeros schoolbook convolution beats big-integer packing.
 _SMALL_CONV = 16
+
+#: Largest order any step of an evaluation works at: eight times the
+#: largest order the CLI accepts (engine.MAX_ORDER, 1000).  EXTRACT(e, m, r)
+#: evaluates e at m*n + r, eval_expr pads the order of Laurent and
+#: Appell-Lerch terms, pochhammer_finite starts above its order by its
+#: negative binomial exponents, and theta_j refuses the span its product
+#: form would cover; the registry's largest EXTRACT modulus is 6, which
+#: stays within this at order 1000 with room for padding.
+MAX_WORK_ORDER = 8000
+
+#: Most bits a power may hold: 64 for each coefficient at MAX_WORK_ORDER.
+#: A literal c^k counts |k| times the bits of c's numerator or
+#: denominator, a series power each product it builds (see pow).
+MAX_LITERAL_BITS = 64 * MAX_WORK_ORDER
+
+#: Most bits a Newton iterate of _invert_int may hold, bounded before it is
+#: built: 2048 for each coefficient at MAX_WORK_ORDER.  An inverse's
+#: coefficients can grow far faster than a power's: 1/f_1^24 at
+#: MAX_WORK_ORDER holds about 8.0 million bits, bounded by 13.1 million.
+MAX_INVERSE_BITS = 32 * MAX_LITERAL_BITS
+
+
+def check_work_order(n: int) -> None:
+    if n > MAX_WORK_ORDER:
+        raise QidError(f"evaluation would work at order {n}, "
+                       f"above the limit {MAX_WORK_ORDER}")
+
+
+def check_bits(what: str, bits: int, limit: int) -> None:
+    if bits > limit:
+        raise QidError(f"{what} would hold about {bits} bits, "
+                       f"above the limit {limit}")
+
+
+def checked_product(a: "TruncatedLaurentSeries", b: "TruncatedLaurentSeries",
+                    what: str, limit: int) -> "TruncatedLaurentSeries":
+    """a*b, refused first when it may hold more than limit bits: its m-th
+    numerator has at most the bits of the largest of a's first m+1 plus
+    those of b's, but for those of its count of terms."""
+    n = min(len(a.coeffs), len(b.coeffs))  # the length of a*b
+    ca, cb = a.coeffs[:n], b.coeffs[:n]
+    bits = a.den.bit_length() + b.den.bit_length()
+    # n times the largest bits bound that sum and cost far less
+    if n and n * (_max_bits(ca) + _max_bits(cb)) + bits > limit:
+        check_bits(what, bits + sum(accumulate(map(int.bit_length, ca), max))
+                   + sum(accumulate(map(int.bit_length, cb), max)), limit)
+    return a * b
+
+
+def _max_bits(a) -> int:
+    return max(max(a), -min(a)).bit_length()
 
 
 def _offsets(width: int, n: int) -> int:
@@ -108,12 +159,16 @@ def _invert_int(u, n_out: int) -> tuple[list[int], int]:
     and only its k - h lowest terms are kept.
 
     D ends as |u[0]|^(2^steps) <= |u[0]|^(2*n_out), which the caller's
-    series normalises."""
+    series normalises.  A step is refused before X*H is computed when X'
+    may hold more than MAX_INVERSE_BITS: h numerators of at most the bits
+    of D and the largest of X, k - h of those of X's and H's largest."""
     x, d = ([1], u[0]) if u[0] > 0 else ([-1], -u[0])
     h = 1
     while h < n_out:
         k = min(2 * h, n_out)
         high = _convolve_int(u, x, k)[h:]
+        check_bits("a series inverse", h * d.bit_length() + k * _max_bits(x)
+                   + (k - h) * _max_bits(high), MAX_INVERSE_BITS)
         x = [d * c for c in x] + [-c for c in _convolve_int(x, high, k - h)]
         d *= d
         h = k
@@ -297,20 +352,23 @@ class TruncatedLaurentSeries(Record):
         return TruncatedLaurentSeries(lo, top, tuple(out), self.den)
 
     def pow(self, n: int) -> "TruncatedLaurentSeries":
+        """self^n by squaring (self inverted when n < 0), refused before
+        any product that may hold more than MAX_LITERAL_BITS."""
         if n < 0:
             return self.invert().pow(-n)
-        # exponentiation by squaring; order bookkeeping is handled by __mul__
+        if n == 0:
+            return TruncatedLaurentSeries.one(self.order)
+        what = f"a product in the series power s^{n}"
         acc = None
         base = self
         k = n
-        if k == 0:
-            return TruncatedLaurentSeries.one(self.order)
         while k:
             if k & 1:
-                acc = base if acc is None else acc * base
+                acc = base if acc is None else checked_product(
+                    acc, base, what, MAX_LITERAL_BITS)
             k >>= 1
             if k:
-                base = base * base
+                base = checked_product(base, base, what, MAX_LITERAL_BITS)
         return acc
 
     def truncate(self, new_order: int) -> "TruncatedLaurentSeries":

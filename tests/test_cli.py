@@ -9,6 +9,8 @@ import pytest
 from qid import cli
 from qid.cli import main
 from qid.engine import MAX_LITERAL_BITS, load_registry
+from qid.qproducts import MAX_ETA_BITS
+from qid.series import MAX_INVERSE_BITS
 
 
 def run(capsys, *argv):
@@ -226,28 +228,40 @@ def test_work_order_bounds_slack_and_substitution(capsys):
         else:
             assert code == 0, expr
 
-    # a power of a series that is not one eta-quotient term is estimated
-    # before it is computed: a lowest coefficient 2, binomial growth alone,
-    # or geometric growth (coefficients 1024^i) is enough to refuse it;
-    # small powers evaluate, checked against products and a quotient
-    for expr, order, status, other in [
-            ("(2+q)^3000000", 5, "error", "1"),
-            ("(1+q)^10000000000", 1000, "error", "1"),
-            ("(1+q)^-10000000000", 1000, "error", "1"),
-            ("(1-1024*q)^-2", 1000, "error", "1"),
-            ("(1+q)^3", 10, "pass", "1 + 3*q + 3*q^2 + q^3"),
-            ("(f1+q)^-3", 10, "pass", "1/((f1+q)*(f1+q)*(f1+q))"),
-            ("(1+q)^200", 1000, "pass", "(1+q)^100*(1+q)^100")]:
+    # a power of a series that is not one eta-quotient term, a power of
+    # f1 and a series inverse are refused before a product that may hold
+    # too many bits: a lowest coefficient 2, binomial growth alone,
+    # geometric growth (coefficients 1024^i or 2^2000i), one large
+    # coefficient below many small ones, or a large power of f1 is enough;
+    # what stays below the limits evaluates, checked against products and
+    # quotients
+    for expr, order, limit, other in [
+            ("(2+q)^3000000", 5, MAX_LITERAL_BITS, "1"),
+            ("(1+q)^10000000000", 1000, MAX_LITERAL_BITS, "1"),
+            ("(1+q)^-10000000000", 1000, MAX_LITERAL_BITS, "1"),
+            ("(1-1024*q)^-2", 1000, MAX_LITERAL_BITS, "1"),
+            ("(2^200000+q/(1-q))^2", 1000, MAX_LITERAL_BITS, "1"),
+            ("f1^100000", 1000, MAX_ETA_BITS, "1"),
+            ("f1^1000000000", 1000, MAX_ETA_BITS, "1"),
+            ("f1^-1000000000", 1000, MAX_ETA_BITS, "1"),
+            ("1/(1-2^2000*q)", 1000, MAX_INVERSE_BITS, "1"),
+            ("1/(1-2^20000*q)", 1000, MAX_INVERSE_BITS, "1"),
+            ("(1+q)^3", 10, None, "1 + 3*q + 3*q^2 + q^3"),
+            ("(f1+q)^-3", 10, None, "1/((f1+q)*(f1+q)*(f1+q))"),
+            ("(1+q)^200", 1000, None, "(1+q)^100*(1+q)^100"),
+            ("MT(B1)^10", 1000, None, "MT(B1)^8*MT(B1)^2"),
+            ("f1^1000", 1000, None, "f1^500*f1^500"),
+            ("(1-1024*q)*(1/(1-1024*q))", 1000, None, "1")]:
         t0 = time.perf_counter()
         code, out, _ = run(capsys, "verify", "--expr", expr, "--expr", other,
                            "--order", str(order))
         assert time.perf_counter() - t0 < 1, expr
-        assert out.startswith(f"adhoc: {status}"), (expr, out)
-        if status == "error":
-            assert code == 2 and " would hold about " in out, expr
-            assert f"above the limit {MAX_LITERAL_BITS}" in out, expr
+        if limit is not None:
+            assert code == 2 and out.startswith("adhoc: error"), (expr, out)
+            assert " would hold about " in out, expr
+            assert f"above the limit {limit}" in out, expr
         else:
-            assert code == 0, expr
+            assert code == 0 and out.startswith("adhoc: pass"), (expr, out)
 
     # param-check expands the same literal powers: one stderr line
     for expr, power in [("2^10000000000", "2^10000000000"),

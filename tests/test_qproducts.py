@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qid import (SignedMonomial, ThetaVanishesError, TruncatedLaurentSeries,
-                 eta_expression, eta_expression_eval, eta_f, pochhammer_finite,
-                 theta_j)
+from qid import (QidError, SignedMonomial, ThetaVanishesError,
+                 TruncatedLaurentSeries, eta_expression, eta_expression_eval,
+                 eta_f, eta_power, pochhammer_finite, qproducts, theta_j)
 from qid.qproducts import _eta_power_cache, div_one_minus, mul_one_minus
 
 S = TruncatedLaurentSeries
@@ -84,6 +84,38 @@ def test_f1_matches_product_orders_0_to_1000():
         assert window(theta_j(SignedMonomial(1, 1), 3, order)) == expected
         _eta_power_cache.clear()
         assert window(eta_f(1, order)) == expected, order
+
+
+def may_hold(a, b):
+    """Numerator m of a*b has at most the bits of the largest of a's first
+    m+1 plus those of b's; a and b have denominator 1."""
+    total = big_a = big_b = 0
+    for ca, cb in zip(a.coeffs, b.coeffs):
+        big_a = max(big_a, abs(ca).bit_length())
+        big_b = max(big_b, abs(cb).bit_length())
+        total += big_a + big_b
+    return total + 2
+
+
+def test_f1_power_refuses_a_product_above_the_limit(monkeypatch):
+    # f1^3 at order 100 is built through q^128 as f1*f1, then f1^2*f1;
+    # each product is refused when it may hold more than the limit
+    f1 = theta_j(SignedMonomial(1, 1), 3, 128)
+    square = may_hold(f1, f1)
+    odd = may_hold(f1 * f1, f1)
+    assert square < odd
+    monkeypatch.setattr(qproducts, "_eta_power_cache", {})
+    for limit, bits in [(odd, None), (odd - 1, odd), (square - 1, square)]:
+        monkeypatch.setattr(qproducts, "MAX_ETA_BITS", limit)
+        qproducts._eta_power_cache.clear()
+        if bits is None:
+            assert eta_power(1, 3, 100) == (f1 * f1 * f1).truncate(100)
+            continue
+        with pytest.raises(QidError) as info:
+            eta_power(1, 3, 100)
+        assert str(info.value) == (
+            f"a product in the power f1^3 would hold about {bits} bits, "
+            f"above the limit {limit}")
 
 
 def test_eta_f_small():

@@ -4,13 +4,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qid import (TruncatedLaurentSeries, TruncationError, compare_series,
-                 dissect_extract, eta_f)
+from qid import (NotInvertibleError, QidError, TruncatedLaurentSeries,
+                 TruncationError, compare_series, dissect_extract, eta_f,
+                 series)
 from qid.qproducts import mul_one_minus
-from qid.series import _convolve_int
+from qid.series import MAX_LITERAL_BITS, _convolve_int
 
 S = TruncatedLaurentSeries
 
@@ -215,6 +216,70 @@ def test_pow():
     a = S.from_terms({0: 1, 1: 1}, 6)
     assert a.pow(0) == S.one(6)
     assert a.pow(3).nonzero_terms() == {0: 1, 1: 3, 2: 3, 3: 1}
+    # a plain NotInvertibleError: eval_expr pads the order and retries on it
+    with pytest.raises(NotInvertibleError):
+        S.zero(6).pow(-2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+       st.integers(-3, 3), st.integers(1, 5), st.integers(-6, 6))
+def test_pow_is_repeated_multiplication(coeffs, min_exp, den, n):
+    s = S(min_exp, min_exp + len(coeffs) - 1, tuple(coeffs), den)
+    assume(n >= 0 or not s.is_zero())
+    base = s.invert() if n < 0 else s
+    want = S.one(s.order) if n == 0 else base
+    for _ in range(abs(n) - 1):
+        want = want * base
+    assert s.pow(n) == want
+
+
+def product_bound(a, b):
+    """The bits a*b may hold, as pow counts them: numerator m those of the
+    largest of a's first m+1 plus those of b's, den those of both dens."""
+    total = big_a = big_b = 0
+    for m in range(min(len(a.coeffs), len(b.coeffs))):
+        big_a = max(big_a, abs(a.coeffs[m]).bit_length())
+        big_b = max(big_b, abs(b.coeffs[m]).bit_length())
+        total += big_a + big_b
+    return total + a.den.bit_length() + b.den.bit_length()
+
+
+def test_pow_refuses_exactly_above_the_limit(monkeypatch):
+    # s^3 multiplies s*s, then s*s^2: each product is refused when it may
+    # hold more than the limit, and only then
+    s = S(-1, 2, (3, -5, 0, 7), 2)
+    square = product_bound(s, s)
+    odd = product_bound(s, s * s)
+    assert square < odd
+    for n, limit, bits in [(2, square, None), (2, square - 1, square),
+                           (3, odd, None), (3, odd - 1, odd)]:
+        monkeypatch.setattr(series, "MAX_LITERAL_BITS", limit)
+        if bits is None:
+            assert s.pow(n) == (s * s if n == 2 else s * s * s)
+        else:
+            with pytest.raises(QidError) as info:
+                s.pow(n)
+            assert str(info.value) == (
+                f"a product in the series power s^{n} would hold about "
+                f"{bits} bits, above the limit {limit}")
+    monkeypatch.undo()
+    # the limit itself: a constant of 255,999 bits (and den 1, of 1 bit)
+    # may be squared, one of 256,000 bits may not
+    assert MAX_LITERAL_BITS == 512000
+    assert S(0, 0, (2 ** 255998,)).pow(2) == S(0, 0, (2 ** 511996,))
+    with pytest.raises(QidError, match="above the limit 512000"):
+        S(0, 0, (2 ** 255999,)).pow(2)
+
+
+def test_invert_refuses_a_step_above_the_limit(monkeypatch):
+    u = S.from_terms({0: 1, 1: -1024}, 40)
+    want = S.from_terms({i: 1024 ** i for i in range(41)}, 40)
+    assert u.invert() == want
+    monkeypatch.setattr(series, "MAX_INVERSE_BITS", 1000)
+    with pytest.raises(QidError, match="^a series inverse would hold about "
+                       r"\d+ bits, above the limit 1000$"):
+        u.invert()
 
 
 # -- integer kernel and (numerators, den) representation --------------------
