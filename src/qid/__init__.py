@@ -11,13 +11,12 @@ from .engine import (IdentityRecord, change_z_identity_check,
 from .errors import (NonGenericParameterError, NotInvertibleError, ParseError,
                      QidError, ThetaVanishesError, TruncationError,
                      UnsupportedEtaIndexError)
-from .mock_theta import SELECTORS, mock_theta_coefficient, mock_theta_series
+from .mock_theta import SELECTORS, mock_theta_series
 from .outcome import VerificationOutcome, compare_series
-from .paramcheck import (BASE_VECTORS, ParamProofOutcome, ParamVector,
-                         PPolynomial, param_vector_of_term, prove_zero)
+from .paramcheck import ParamProofOutcome, PPolynomial, prove_zero
 from .qproducts import (EtaExpression, EtaMonomial, SignedMonomial,
                         eta_expression, eta_expression_eval, eta_f,
-                        eta_monomial, eta_power, pochhammer_finite, theta_j)
+                        eta_power, pochhammer_finite, theta_j)
 from .series import TruncatedLaurentSeries
 
 __all__ = [
@@ -28,12 +27,10 @@ __all__ = [
     "NonGenericParameterError", "NotInvertibleError", "ParseError",
     "QidError", "ThetaVanishesError", "TruncationError",
     "UnsupportedEtaIndexError", "SELECTORS",
-    "mock_theta_coefficient", "mock_theta_series", "VerificationOutcome",
-    "compare_series",
-    "BASE_VECTORS", "ParamProofOutcome", "ParamVector", "PPolynomial",
-    "param_vector_of_term", "prove_zero",
+    "mock_theta_series", "VerificationOutcome", "compare_series",
+    "ParamProofOutcome", "PPolynomial", "prove_zero",
     "EtaExpression", "EtaMonomial", "SignedMonomial", "eta_expression",
-    "eta_expression_eval", "eta_f", "eta_monomial", "eta_power",
+    "eta_expression_eval", "eta_f", "eta_power",
     "pochhammer_finite", "theta_j", "TruncatedLaurentSeries",
 ]
 

@@ -5,7 +5,7 @@ Grammar (whitespace-insensitive, left-associative binaries, ^ > */ > +-):
     expr   := term (("+"|"-") term)*
     term   := unary (("*"|"/") unary)*
     unary  := "-" unary | factor
-    factor := atom ("^" int)?
+    factor := atom ("^" int)?     (|int| <= MAX_POW_EXPONENT, 2^63 - 1)
     atom   := rat | "q" | "f" INT | "(" expr ")" | call
     call   := NAME "(" args ")"   with NAME in {AL, J, P, MT, EXTRACT, SUBST}
     rat    := INT ("/" INT)?      (the "/" is folded into the literal only
@@ -29,6 +29,7 @@ from .errors import ParseError
 from .mock_theta import SELECTORS
 from .qproducts import SignedMonomial
 from .record import Record
+from .series import MAX_POW_EXPONENT
 
 
 # -- AST --------------------------------------------------------------------
@@ -67,8 +68,16 @@ class Neg(Record):
     __slots__ = __match_args__ = ("operand",)
 
 
+_EXPONENT_ERROR = ("power exponent out of range: its absolute value is above "
+                   f"the limit {MAX_POW_EXPONENT}")
+
+
 class Pow(Record):
     __slots__ = __match_args__ = ("base", "exp")
+
+    def _check(self):
+        if abs(self.exp) > MAX_POW_EXPONENT:
+            raise ValueError(_EXPONENT_ERROR)
 
 
 class AL(Record):
@@ -208,6 +217,12 @@ class _Parser:
         a = self.atom()
         if self.peek()[:2] == ("OP", "^"):
             self.next()
+            # the exponent's digits are counted before int() reads them
+            kind, text, offset = self.peek(self.peek()[:2] == ("OP", "-"))
+            digits = text.lstrip("0")
+            if kind == "INT" and (len(digits) > len(str(MAX_POW_EXPONENT))
+                                  or int(digits or 0) > MAX_POW_EXPONENT):
+                self.fail(_EXPONENT_ERROR, offset)
             return Pow(a, self.expect_int())
         return a
 

@@ -58,7 +58,7 @@ def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
         form = eta_expression(_terms(e, forms))
         # through its lowest term at least, so that a divisor above q^n is
         # not all zero
-        low = min((t.qpow for t in form.terms if t.coeff), default=0)
+        low = min((t.qpow for t in form.terms if t.num), default=0)
         check_work_order(n - low)
         return eta_expression_eval(form, max(n, low))
     if type(e) in _COMBINE:

@@ -19,7 +19,6 @@ against.  The outer sum stops once shift(n) exceeds the truncation order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, sub
 
 from .qproducts import SignedMonomial, div_one_minus, mul_one_minus
@@ -79,9 +78,3 @@ def mock_theta_series(sel: str, order: int) -> TruncatedLaurentSeries:
     if cached is None or cached.order < order:
         _cache[sel] = cached = _summed(sel, order)
     return cached.truncate(order)
-
-
-def mock_theta_coefficient(sel: str, n: int) -> Fraction:
-    if n < 0:
-        raise ValueError("coefficient index must be nonnegative")
-    return mock_theta_series(sel, n).coefficient(n)

@@ -27,8 +27,8 @@ The proof runs in integers: exponents are kept as 24 times their value,
 so the checks are integer comparisons and `% 24`; each residual power
 (a + b*p)^n is expanded by binomial coefficients, a term's powers are
 multiplied with the series kernel `_convolve_int`, and a class's terms are
-summed over the common denominator of their coefficients.  Fractions
-appear only in what is reported.
+summed as the expression stores them, integer numerators over its one
+denominator.  Fractions appear only in what is reported.
 
 `qid param-check ID` proves lhs - rhs of the registry identity ID zero,
 read as expr_to_eta(parse("(lhs) - (rhs)")); S0, S1, H0, H1 and R0 name
@@ -39,7 +39,7 @@ engine.verify, which expands both sides as series.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from operator import add
 
 from .errors import QidError, UnsupportedEtaIndexError
@@ -53,30 +53,16 @@ _F = Fraction
 #: the exponent slots
 SLOTS = ("2", "p", "1-p", "1+p", "1+2p", "2+p", "k", "q")
 
-
-class ParamVector(Record):
-    """Fraction exponents over the slots (2, p, 1-p, 1+p, 1+2p, 2+p, k, q)."""
-
-    __slots__ = __match_args__ = ("e2", "ep", "e1m", "e1p", "e12p", "e2p",
-                                  "ek", "eq")
-
-    def as_tuple(self):
-        return (self.e2, self.ep, self.e1m, self.e1p, self.e12p, self.e2p,
-                self.ek, self.eq)
-
-
 #: f_k -> 24 times its exponent vector over SLOTS, in integers
 _BASE24 = {1: (-4, 1, 12, 4, 3, 3, 12, -1), 2: (-8, 2, 6, 2, 6, 6, 12, -2),
            3: (-4, 3, 4, 12, 1, 1, 12, -3), 4: (-16, 4, 3, 1, 3, 12, 12, -4),
            6: (-8, 6, 2, 6, 2, 2, 12, -6), 12: (-16, 12, 1, 3, 1, 4, 12, -12)}
 
-#: f_k -> its exponent vector over SLOTS
-BASE_VECTORS = {k: ParamVector(*(_F(c, 24) for c in v))
-                for k, v in _BASE24.items()}
-
 
 def _vector24(t: EtaMonomial) -> list[int]:
-    """24 times the exponent vector of the term t."""
+    """24 times the exponent vector of the term t.  Its q-slot,
+    24*qpow - sum_k k*e_k, is the term's q-offset: it is derived here
+    rather than stored with the term."""
     vec = [0] * 7 + [24 * t.qpow]
     for k, e in t.exps:
         base = _BASE24.get(k)
@@ -84,10 +70,6 @@ def _vector24(t: EtaMonomial) -> list[int]:
             raise UnsupportedEtaIndexError(f"no parametrization for f_{k}")
         vec = [a + e * b for a, b in zip(vec, base)]
     return vec
-
-
-def param_vector_of_term(t: EtaMonomial) -> ParamVector:
-    return ParamVector(*(_F(c, 24) for c in _vector24(t)))
 
 
 class PPolynomial(Record):
@@ -160,17 +142,16 @@ def prove_zero(e: EtaExpression) -> ParamProofOutcome:
     for members in classes.values():
         mins = [min(col) for col in zip(*(v for _, v in members))]
         residuals = [[a - m for a, m in zip(v, mins)] for _, v in members]
-        # sum_i c_i 2^r0 p^r1 (1-p)^r2 (1+p)^r3 (1+2p)^r4 (2+p)^r5 over the
-        # common denominator of the c_i
+        # sum_i n_i 2^r0 p^r1 (1-p)^r2 (1+p)^r3 (1+2p)^r4 (2+p)^r5, over
+        # the expression's one denominator
         power = max(sum(r[:6]) for r in residuals) // 24
         if power > MAX_POWER:
             raise QidError(f"a term's residual powers of 2, p, 1-p, 1+p, 1+2p "
                            f"and 2+p sum to {power}, above the limit {MAX_POWER}")
-        den = lcm(*(t.coeff.denominator for t, _ in members))
         total: list[int] = []
         for (t, _), r in zip(members, residuals):
             e2, ep, *rest = (c // 24 for c in r[:6])
-            poly = [t.coeff.numerator * (den // t.coeff.denominator) << e2]
+            poly = [t.num << e2]
             for (a, b), n in zip(_BINOMIALS, rest):
                 if n:
                     poly = _convolve_int(poly, _binomial_power(a, b, n),
@@ -181,7 +162,7 @@ def prove_zero(e: EtaExpression) -> ParamProofOutcome:
             total[:len(poly)] = map(add, total, poly)
 
         if any(total):
-            poly = PPolynomial.make([_F(c, den) for c in total])
+            poly = PPolynomial.make([_F(c, e.den) for c in total])
             factor = "*".join(f"({s})^({fraction_str(_F(m - lo, 24))})"
                               for s, m, lo in zip(SLOTS, mins, lows) if m != lo)
             return ParamProofOutcome(

@@ -9,13 +9,12 @@ Euler's pentagonal theorem (Andrews, The Theory of Partitions, Thm 2.8).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, sub
 
-from .errors import ThetaVanishesError
+from .errors import QidError, ThetaVanishesError
 from .record import Record
-from .series import (MAX_LITERAL_BITS, MAX_WORK_ORDER,
+from .series import (MAX_LITERAL_BITS, MAX_POW_EXPONENT, MAX_WORK_ORDER,
                      TruncatedLaurentSeries, check_work_order, checked_product)
 
 _CACHE_STEP = 64
@@ -42,9 +41,6 @@ class SignedMonomial(Record):
     def inverse(self) -> "SignedMonomial":
         # 1/eps == eps for eps in {+1,-1}
         return SignedMonomial(self.sign, -self.exp)
-
-    def pow(self, n: int) -> "SignedMonomial":
-        return SignedMonomial(self.sign if n % 2 else 1, self.exp * n)
 
     def __str__(self):
         s = "-" if self.sign < 0 else ""
@@ -104,19 +100,20 @@ def pochhammer_finite(a: SignedMonomial, step: int, n: int, order: int) -> Trunc
 _eta_power_cache: dict[int, TruncatedLaurentSeries] = {}
 
 
-def _f1_power(e: int, order: int) -> TruncatedLaurentSeries:
+def _f1_power(e: int, order: int, what: str = "") -> TruncatedLaurentSeries:
     """f_1^e, e >= 1, order >= 0: f_1 is Euler's pentagonal series
     j(q; q^3), and f_1^e is (f_1^(e//2))^2, times f_1 when e is odd, so
     one request caches O(log e) powers.  A product that may hold more than
-    MAX_ETA_BITS is refused before it is computed."""
+    MAX_ETA_BITS is refused before it is computed; what names the power
+    first asked for."""
     cached = _eta_power_cache.get(e)
     if cached is None or cached.order < order:
         work = -(-max(order, 1) // _CACHE_STEP) * _CACHE_STEP
         if e == 1:
             s = theta_j(SignedMonomial(1, 1), 3, work)
         else:
-            what = f"a product in the power f1^{e}"
-            half = _f1_power(e // 2, work)
+            what = what or f"a product in the power f1^{e}"
+            half = _f1_power(e // 2, work, what)
             s = checked_product(half, half, what, MAX_ETA_BITS)
             if e % 2:
                 s = checked_product(s, _f1_power(1, work), what, MAX_ETA_BITS)
@@ -142,6 +139,10 @@ def eta_power(k: int, e: int, order: int) -> TruncatedLaurentSeries:
         raise ValueError("k must be positive")
     if e < 0:
         raise ValueError("eta_power builds nonnegative powers only")
+    if e > MAX_POW_EXPONENT:
+        # a sum or product of DSL powers, each within the limit
+        raise QidError(f"the power f{k}^e, e of {e.bit_length()} bits, has an "
+                       f"exponent above the limit {MAX_POW_EXPONENT}")
     if order < 0:
         return TruncatedLaurentSeries.from_terms({}, order)
     if e == 0:
@@ -152,32 +153,37 @@ def eta_power(k: int, e: int, order: int) -> TruncatedLaurentSeries:
 
 
 class EtaMonomial(Record):
-    """coeff * q^qpow * prod_k f_k^(e_k); exps holds no zero exponents.
+    """num * q^qpow * prod_k f_k^(e_k), over the den of its EtaExpression;
+    num is an int, exps a sorted tuple of (k, e_k) pairs, no e_k zero."""
 
-    coeff is a Fraction, exps a tuple of (k, e_k) pairs."""
-
-    __slots__ = __match_args__ = ("coeff", "qpow", "exps")
+    __slots__ = __match_args__ = ("num", "qpow", "exps")
 
     def _check(self):
+        if type(self.num) is not int:
+            raise ValueError("EtaMonomial numerator must be an int")
         if any(e == 0 for _, e in self.exps):
             raise ValueError("EtaMonomial exponent map must not contain zeros")
 
 
 class EtaExpression(Record):
-    """A finite sum of EtaMonomial terms (a tuple); the empty sum is zero."""
+    """(sum of the EtaMonomial terms) / den, stored as a series is: integer
+    numerators over one den >= 1 with gcd(den, *nums) == 1 (see
+    eta_expression).  Terms with numerator 0 are kept, so prove_zero still
+    sees their exponents; the empty sum is zero."""
 
-    __slots__ = __match_args__ = ("terms",)
-    _defaults = {"terms": ()}
-
-
-def eta_monomial(coeff, qpow: int, exps: dict[int, int]) -> EtaMonomial:
-    items = tuple(sorted((k, e) for k, e in exps.items() if e != 0))
-    return EtaMonomial(Fraction(coeff), qpow, items)
+    __slots__ = __match_args__ = ("terms", "den")
+    _defaults = {"terms": (), "den": 1}
 
 
 def eta_expression(terms) -> EtaExpression:
-    """Build an EtaExpression from (coeff, qpow, {k: e}) triples."""
-    return EtaExpression(tuple(eta_monomial(c, p, d) for c, p, d in terms))
+    """Build an EtaExpression from (coeff, qpow, {k: e}) triples, coeff an
+    int or a Fraction: den is the lcm of the coefficients' denominators."""
+    terms = list(terms)
+    den = lcm(*(c.denominator for c, _, _ in terms))
+    return EtaExpression(tuple(
+        EtaMonomial(c.numerator * (den // c.denominator), p,
+                    tuple(sorted((k, e) for k, e in exps.items() if e)))
+        for c, p, exps in terms), den)
 
 
 def _eta_product(exps: dict[int, int], order: int) -> TruncatedLaurentSeries:
@@ -237,7 +243,7 @@ def eta_expression_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeri
 
 
 def _normal_form_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeries:
-    terms = [t for t in expr.terms if t.coeff]
+    terms = [t for t in expr.terms if t.num]
     low_q = min((t.qpow for t in terms), default=0)
     work = order - low_q
     if work < 0 or not terms:
@@ -254,11 +260,13 @@ def _normal_form_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeries
         exps = dict(t.exps)
         s = _eta_product({k: exps.get(k, 0) - m for k, m in low_f.items()},
                          work - shift)
-        total = total + s.scale(t.coeff).shift(shift)
+        total = total + s.scale(t.num).shift(shift)
     if any(low_f.values()) and not total.is_zero():
         total = total * _eta_product(
             {k: -m for k, m in low_f.items()}, work).invert()
-    return total.shift(low_q)
+    # the one division by den, together with the shift by q^low_q
+    return TruncatedLaurentSeries(total.min_exp + low_q, total.order + low_q,
+                                  total.coeffs, total.den * expr.den)
 
 
 def theta_valuation(t: int, base: int) -> int:

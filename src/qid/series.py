@@ -43,6 +43,11 @@ MAX_WORK_ORDER = 8000
 #: denominator, a series power each product it builds (see pow).
 MAX_LITERAL_BITS = 64 * MAX_WORK_ORDER
 
+#: Largest absolute value of a power's exponent: a DSL `^k` (see dsl.Pow)
+#: and each f_k power the normal form builds.  Squaring then takes at most
+#: 63 products, and f_1^e at most 63 levels of halving.
+MAX_POW_EXPONENT = 2 ** 63 - 1
+
 #: Most bits a Newton iterate of _invert_int may hold, bounded before it is
 #: built: 2048 for each coefficient at MAX_WORK_ORDER.  An inverse's
 #: coefficients can grow far faster than a power's: 1/f_1^24 at
@@ -312,8 +317,7 @@ class TruncatedLaurentSeries(Record):
         return TruncatedLaurentSeries(lo, order, tuple(out), self.den * other.den)
 
     def scale(self, c: Fraction | int) -> "TruncatedLaurentSeries":
-        c = Fraction(c)
-        num = c.numerator
+        num = c.numerator  # an int is its own numerator, over 1
         return TruncatedLaurentSeries(self.min_exp, self.order,
                                       tuple(num * x for x in self.coeffs),
                                       self.den * c.denominator)

@@ -10,7 +10,7 @@ from qid import cli
 from qid.cli import main
 from qid.engine import MAX_LITERAL_BITS, load_registry
 from qid.qproducts import MAX_ETA_BITS
-from qid.series import MAX_INVERSE_BITS
+from qid.series import MAX_INVERSE_BITS, MAX_POW_EXPONENT
 
 
 def run(capsys, *argv):
@@ -217,7 +217,12 @@ def test_work_order_bounds_slack_and_substitution(capsys):
             ("((2^1000)^1000)^1000", "error", MAX_LITERAL_BITS),
             ("f1000000000", "pass", None),
             ("SUBST(f1, 1000000000)", "pass", None),
-            ("-(-1)^10000000001", "pass", None)]:
+            ("-(-1)^10000000001", "pass", None),
+            # 10^300 would recurse once per bit, 10^150 and 10^1000 square
+            # hundreds of times before a bound is met
+            ("f1^1" + "0" * 300, "error", MAX_POW_EXPONENT),
+            ("f1^1" + "0" * 150, "error", MAX_POW_EXPONENT),
+            ("(1+q)^1" + "0" * 1000, "error", MAX_POW_EXPONENT)]:
         t0 = time.perf_counter()
         code, out, _ = run(capsys, "verify", "--expr", expr, "--expr", "1",
                            "--order", "10")

@@ -178,6 +178,24 @@ def test_nesting_bound():
             parse(bad)
 
 
+def test_exponent_bound():
+    # |k| <= 2^63 - 1, read from the digits before int() would be asked
+    # for a number of any length
+    top = 2 ** 63 - 1
+    for k in (top, -top, 0):
+        assert parse(f"f1^{k}") == Pow(F(1), k)
+    assert parse("q^000" + str(top)) == Pow(Q(), top)
+    for bad, column in ((f"f1^{top + 1}", 4), (f"f1^-{top + 1}", 5),
+                        ("q^1" + "0" * 5000, 3)):
+        with pytest.raises(ParseError, match=f"above the limit {top}") as info:
+            parse(bad)
+        assert info.value.column == column
+    Pow(F(1), top)
+    for k in (2 ** 63, -2 ** 63):
+        with pytest.raises(ValueError, match=f"above the limit {top}"):
+            Pow(F(1), k)
+
+
 def test_print_long_chains():
     # a left-deep chain thousands of nodes long prints flat, without
     # recursion, and parses back to the same tree

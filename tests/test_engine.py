@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -326,4 +327,8 @@ def test_expr_to_eta_matches_reference(asts, data):
     got = flattened(expr_to_eta, e)
     assert got == flattened(reference_expr_to_eta, e)
     if isinstance(got, EtaExpression):
-        assert all(type(t.coeff) is Fraction for t in got.terms)
+        # integer numerators over one positive denominator, in lowest terms
+        nums = [t.num for t in got.terms]
+        assert all(type(n) is int for n in nums)
+        assert got.den >= 1
+        assert gcd(got.den, *nums) == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qid import SELECTORS, mock_theta, mock_theta_coefficient, mock_theta_series
+from qid import SELECTORS, mock_theta, mock_theta_series
 from qid.cli import main
 
 
@@ -21,11 +21,11 @@ def test_pinned_coefficients():
 
 
 def test_coefficient_accessor():
-    assert mock_theta_coefficient("B1", 0) == 1
-    assert mock_theta_coefficient("A1", 0) == 0
-    assert mock_theta_coefficient("B1", 3) == 6
+    assert mock_theta_series("B1", 0).coefficient(0) == 1
+    assert mock_theta_series("A1", 0).coefficient(0) == 0
+    assert mock_theta_series("B1", 3).coefficient(3) == 6
     with pytest.raises(ValueError):
-        mock_theta_coefficient("B1", -1)
+        mock_theta_series("B1", -1)
     with pytest.raises(ValueError):
         mock_theta_series("C9", 5)
 

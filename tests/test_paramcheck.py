@@ -8,14 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qid import (BASE_VECTORS, UnsupportedEtaIndexError, eta_expression,
-                 eta_monomial, expr_to_eta, load_registry,
-                 param_vector_of_term, prove_zero, verify)
+from qid import (EtaMonomial, UnsupportedEtaIndexError, eta_expression,
+                 expr_to_eta, load_registry, prove_zero, verify)
 from qid.cli import main
 from qid.dsl import parse
+from qid.paramcheck import _vector24
 from qid.qproducts import eta_expression_eval
 
 F = Fraction
+
+#: f_k -> its exponent vector over (2, p, 1-p, 1+p, 1+2p, 2+p, k, q)
+BASES = {
+    1: (F(-1, 6), F(1, 24), F(1, 2), F(1, 6), F(1, 8), F(1, 8), F(1, 2),
+        F(-1, 24)),
+    2: (F(-1, 3), F(1, 12), F(1, 4), F(1, 12), F(1, 4), F(1, 4), F(1, 2),
+        F(-1, 12)),
+    3: (F(-1, 6), F(1, 8), F(1, 6), F(1, 2), F(1, 24), F(1, 24), F(1, 2),
+        F(-1, 8)),
+    4: (F(-2, 3), F(1, 6), F(1, 8), F(1, 24), F(1, 8), F(1, 2), F(1, 2),
+        F(-1, 6)),
+    6: (F(-1, 3), F(1, 4), F(1, 12), F(1, 4), F(1, 12), F(1, 12), F(1, 2),
+        F(-1, 4)),
+    12: (F(-2, 3), F(1, 2), F(1, 24), F(1, 8), F(1, 24), F(1, 6), F(1, 2),
+         F(-1, 2)),
+}
 
 #: the split components S0, S1, H0, H1 and R0, each written as lhs = 0
 ZERO_IDS = ("zero-s0", "zero-s1", "zero-h0", "zero-h1", "zero-r0")
@@ -31,28 +47,31 @@ def difference(rec):
     return expr_to_eta(parse(f"({rec.lhs}) - ({rec.rhs})"))
 
 
+def vector(qpow, exps):
+    """The exponent vector of q^qpow prod f_k^e_k as prove_zero reads it."""
+    return tuple(F(c, 24) for c in _vector24(EtaMonomial(1, qpow, exps)))
+
+
 def test_base_vector_f1():
-    v = param_vector_of_term(eta_monomial(1, 0, {1: 1}))
-    assert (v.e2, v.ep, v.e1m, v.e1p, v.e12p, v.e2p, v.ek, v.eq) == \
-        (F(-1, 6), F(1, 24), F(1, 2), F(1, 6), F(1, 8), F(1, 8),
-         F(1, 2), F(-1, 24))
+    assert vector(0, ((1, 1),)) == BASES[1]
 
 
 def test_base_vector_f12():
-    v = param_vector_of_term(eta_monomial(1, 0, {12: 1}))
-    assert (v.e2, v.ep, v.e1m, v.e1p, v.e12p, v.e2p, v.ek, v.eq) == \
-        (F(-2, 3), F(1, 2), F(1, 24), F(1, 8), F(1, 24), F(1, 6),
-         F(1, 2), F(-1, 2))
+    assert vector(0, ((12, 1),)) == BASES[12]
 
 
 def test_pure_q_power():
-    v = param_vector_of_term(eta_monomial(1, 1, {}))
-    assert v.as_tuple() == (0, 0, 0, 0, 0, 0, 0, 1)
+    assert vector(1, ()) == (0, 0, 0, 0, 0, 0, 0, 1)
 
 
 def test_unsupported_index():
     with pytest.raises(UnsupportedEtaIndexError):
-        param_vector_of_term(eta_monomial(1, 0, {8: 1}))
+        vector(0, ((8, 1),))
+
+
+def triples(e):
+    """The (coeff, qpow, {k: e}) triples eta_expression builds e from."""
+    return [(F(t.num, e.den), t.qpow, dict(t.exps)) for t in e.terms]
 
 
 def test_trivial_difference_proved_zero():
@@ -76,10 +95,8 @@ def test_named_targets_two_paths(registry):
 
 def test_reorder_and_scale_invariance(registry):
     e = difference(registry["zero-r0"])
-    reordered = eta_expression(
-        [(t.coeff, t.qpow, dict(t.exps)) for t in reversed(e.terms)])
-    scaled = eta_expression(
-        [(t.coeff * F(7, 3), t.qpow, dict(t.exps)) for t in e.terms])
+    reordered = eta_expression(triples(e)[::-1])
+    scaled = eta_expression([(c * F(7, 3), a, ex) for c, a, ex in triples(e)])
     assert prove_zero(reordered).status == "ProvedZero"
     assert prove_zero(scaled).status == "ProvedZero"
 
@@ -104,11 +121,10 @@ def test_fractional_classes_decided_exactly():
 def times(e, a, exps):
     """The terms of e, each multiplied by q^a prod f_k^exps[k]."""
     out = []
-    for t in e.terms:
-        ex = dict(t.exps)
+    for c, qpow, ex in triples(e):
         for k, x in exps.items():
             ex[k] = ex.get(k, 0) + x
-        out.append((t.coeff, t.qpow + a, ex))
+        out.append((c, qpow + a, ex))
     return out
 
 
@@ -118,14 +134,14 @@ def test_two_class_identity(registry):
     s0 = times(difference(registry["zero-s0"]), 0, {1: 1})
     r0 = times(difference(registry["zero-r0"]), 1, {12: 2, 2: 1, 1: -3})
     e = eta_expression(s0 + r0)
-    vectors = [param_vector_of_term(t).as_tuple()[:6] for t in e.terms]
+    vectors = [vector(t.qpow, t.exps)[:6] for t in e.terms]
     assert len({tuple(x % 1 for x in v) for v in vectors}) == 2
     assert prove_zero(e).status == "ProvedZero"
     assert not any(eta_expression_eval(e, 60).coeffs)
     # either class broken alone is found; the second one after the first
     # has vanished, with its factor relative to the smallest exponents
     for i in (0, len(s0)):
-        out = prove_zero(with_term(e, i, coeff=2 * e.terms[i].coeff))
+        out = prove_zero(with_term(e, i, coeff=2 * triples(e)[i][0]))
         assert out.status == "NotZero", i
     assert out.detail == (
         "residual polynomial: 24*p^1 + 24*p^2, times (2)^(8/3)*(p)^(1)"
@@ -187,6 +203,24 @@ def test_param_check_non_uniform_output(capsys):
            "Fraction(19, 24)] are not uniform\n")
 
 
+def test_param_check_class_denominator_output(capsys):
+    # the classes' own denominators (6 and 14) differ from the
+    # expression's (42): the residual 15/42 - 12/42 is reported as 1/14
+    assert param_check_output(
+        capsys, "--expr", "(1/6)*f1^4 - (1/6)*f1^4 + (5/14)*q*f12^2*f2^2"
+        " - (2/7)*q*f12^2*f2^2") == (
+        1, "NotZero\n"
+           "  residual polynomial: 1/14, times "
+           "(p)^(1)*(1+2p)^(1/12)*(2+p)^(1/3)\n")
+
+
+def test_param_check_zero_coefficient_term(capsys):
+    # a term with coefficient 0 still counts in the exponent check
+    assert param_check_output(capsys, "--expr", "0*f2 + f1 - f1") == (
+        1, "NonUniform\n  k-exponents [Fraction(1, 2)], q-exponents "
+           "[Fraction(-1, 12), Fraction(-1, 24)] are not uniform\n")
+
+
 def test_param_check_two_class_output(capsys):
     assert param_check_output(capsys, "--expr", "f1^4 - q*f12^2*f2^2") == (
         1, "NotZero\n"
@@ -197,7 +231,7 @@ def test_param_check_two_class_output(capsys):
 # -- every proof can fail -------------------------------------------------------
 
 def with_term(e, i, coeff=None, exps=None):
-    terms = [(t.coeff, t.qpow, dict(t.exps)) for t in e.terms]
+    terms = triples(e)
     c, a, ex = terms[i]
     terms[i] = (c if coeff is None else coeff, a, ex if exps is None else exps)
     return eta_expression(terms)
@@ -209,8 +243,8 @@ def test_zero_records_break_when_edited(registry, rid):
     for i, t in enumerate(e.terms):
         # each term is a nonzero polynomial in p, so changing its
         # coefficient leaves a nonzero sum
-        assert prove_zero(with_term(e, i, coeff=2 * t.coeff)).status == \
-            "NotZero", (rid, i)
+        doubled = with_term(e, i, coeff=2 * F(t.num, e.den))
+        assert prove_zero(doubled).status == "NotZero", (rid, i)
         # one more f_k moves the k-exponent by 1/2
         k, x = t.exps[0]
         assert prove_zero(with_term(e, i, exps={**dict(t.exps), k: x + 1})
@@ -238,7 +272,7 @@ def reference_prove(e):
     for t in e.terms:
         v = [F(0)] * 7 + [F(t.qpow)]
         for k, x in t.exps:
-            v = [a + x * b for a, b in zip(v, BASE_VECTORS[k].as_tuple())]
+            v = [a + x * b for a, b in zip(v, BASES[k])]
         vectors.append(v)
     if len({v[6] for v in vectors}) > 1 or len({v[7] for v in vectors}) > 1:
         return "NonUniform", None
@@ -251,7 +285,7 @@ def reference_prove(e):
         for t, v in group:
             r = [a - m for a, m in zip(v, mins)]
             assert all(c.denominator == 1 for c in r)
-            poly = [t.coeff * 2 ** int(r[0])]
+            poly = [F(t.num, e.den) * 2 ** int(r[0])]
             for base, x in zip(_REF_BASES, r[1:6]):
                 for _ in range(int(x)):
                     out = [F(0)] * (len(poly) + 1)

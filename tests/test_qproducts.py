@@ -118,6 +118,24 @@ def test_f1_power_refuses_a_product_above_the_limit(monkeypatch):
             f"above the limit {limit}")
 
 
+def test_f1_power_refusal_names_the_power_asked_for(monkeypatch):
+    # f1^100000 is refused in a product of f1^1562, one of its halvings;
+    # the message names the power the caller asked for
+    monkeypatch.setattr(qproducts, "_eta_power_cache", {})
+    with pytest.raises(QidError) as info:
+        eta_power(1, 100000, 1000)
+    assert str(info.value).startswith(
+        "a product in the power f1^100000 would hold about ")
+
+
+def test_eta_power_exponent_bound():
+    # a product of DSL powers may sum past the exponent limit of one
+    for k in (1, 2):
+        with pytest.raises(QidError, match=f"f{k}.e, e of 64 bits, has an "
+                           f"exponent above the limit {2 ** 63 - 1}"):
+            eta_power(k, 2 ** 63, 10)
+
+
 def test_eta_f_small():
     assert eta_f(2, 3).nonzero_terms() == {0: 1, 2: -1}
     assert eta_f(7, 5) == S.one(5)  # no factor within the order

@@ -75,7 +75,7 @@ def test_keyword_and_default_construction():
     assert (rec.kind, rec.default_order, rec.count) == ("identity", 200, 0)
     assert IdentityRecord("x", "core", anchor="a", count=3).count == 3
     assert VerificationOutcome("pass", 4) == VerificationOutcome("pass", 4, None, "")
-    assert EtaExpression().terms == ()
+    assert (EtaExpression().terms, EtaExpression().den) == ((), 1)
     assert PPolynomial() == PPolynomial(())
     assert ParamProofOutcome("NotZero") == ParamProofOutcome("NotZero", "", None)
 
@@ -145,7 +145,9 @@ def test_checks_still_raise():
     with pytest.raises(ValueError):
         SignedMonomial(sign=2, exp=1)
     with pytest.raises(ValueError):
-        EtaMonomial(Fraction(1), 0, ((1, 2), (2, 0)))
+        EtaMonomial(1, 0, ((1, 2), (2, 0)))
+    with pytest.raises(ValueError):
+        EtaMonomial(Fraction(1), 0, ((1, 2),))
     with pytest.raises(ValueError):
         AppellLerchSpec(SignedMonomial(1, 1), 0, SignedMonomial(1, 0))
     with pytest.raises(NonGenericParameterError):
@@ -156,7 +158,7 @@ def test_checks_still_raise():
         VerificationOutcome("pass", 3, (0, Fraction(1), Fraction(2)))
     # the checks pass on valid values
     AppellLerchSpec(SignedMonomial(-1, 1), 3, SignedMonomial(1, 2))
-    EtaMonomial(Fraction(1), 0, ((1, 2),))
+    EtaMonomial(1, 0, ((1, 2),))
 
 
 def test_copy_and_pickle_round_trip():
