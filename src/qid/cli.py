@@ -126,13 +126,12 @@ def cmd_coeffs(args) -> int:
     if args.mod is not None and args.mod < 1:
         print("--mod must be positive", file=sys.stderr)
         return 2
-    series = mock_theta_series(sel, args.upto)
-    for n in range(args.upto + 1):
-        c = series.coefficient(n)
-        if args.mod is not None:
-            print(f"{n} {c.numerator % args.mod if c.denominator == 1 else c}")
-        else:
-            print(f"{n} {c if c.denominator != 1 else c.numerator}")
+    # the oracle sums integer terms from q^0: coeffs[n] is the coefficient
+    # of q^n, over den 1
+    coeffs = mock_theta_series(sel, args.upto).coeffs
+    if args.mod is not None:
+        coeffs = [c % args.mod for c in coeffs]
+    sys.stdout.write("".join([f"{n} {c}\n" for n, c in enumerate(coeffs)]))
     return 0
 
 

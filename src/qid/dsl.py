@@ -14,6 +14,10 @@ Grammar (whitespace-insensitive, left-associative binaries, ^ > */ > +-):
     sm     := ("-")? "q" ("^" int)?   (signed-monomial call argument;
                                        q^0 denotes +1, -q^0 denotes -1)
 
+An integer other than a power exponent has at most 4300 digits after its
+leading zeros (outcome.max_digits: fewer where the interpreter's own
+limit is lower), counted before it is read.
+
 AL(x, base, z) is the Appell-Lerch sum m(x, q^base, z); J(z, base) is
 j(z;q^base); P(a, step, n) the finite Pochhammer product; MT(sel) a mock
 theta series; EXTRACT(e, m, r), 0 <= r < m, residue-class dissection;
@@ -27,6 +31,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .mock_theta import SELECTORS
+from .outcome import max_digits
 from .qproducts import SignedMonomial
 from .record import Record
 from .series import MAX_POW_EXPONENT
@@ -173,11 +178,23 @@ class _Parser:
         if self.peek()[:2] == ("OP", "-"):
             self.next()
             neg = True
-        kind, text, _ = self.peek()
+        kind, text, offset = self.peek()
         if kind != "INT":
             self.error({"integer"})
         self.next()
-        return -int(text) if neg else int(text)
+        value = self.read_int(text, offset)
+        return -value if neg else value
+
+    def read_int(self, digits: str, offset: int) -> int:
+        """The integer a run of digits spells, refused above max_digits()
+        digits after its leading zeros, so that int() never meets the
+        interpreter's own limit, on any CPython version."""
+        digits = digits.lstrip("0")
+        limit = max_digits()
+        if len(digits) > limit:
+            self.fail(f"integer literal with {len(digits)} digits (the limit "
+                      f"is {limit})", offset)
+        return int(digits or "0")
 
     # grammar -------------------------------------------------------------
 
@@ -234,11 +251,11 @@ class _Parser:
             if self.peek()[:2] == ("OP", "/") and self.peek(1)[0] == "INT" \
                     and self.peek(2)[:2] != ("OP", "^"):
                 self.next()
-                den = int(self.next()[1])
+                den = self.read_int(*self.next()[1:])
                 if den == 0:
                     self.fail("zero denominator in rational literal", offset)
-                return Lit(Fraction(int(text), den))
-            return Lit(Fraction(int(text)))
+                return Lit(Fraction(self.read_int(text, offset), den))
+            return Lit(Fraction(self.read_int(text, offset)))
         if kind == "NAME":
             if text == "q":
                 self.next()
@@ -246,7 +263,7 @@ class _Parser:
             fm = re.fullmatch(r"f(0*[1-9]\d*)", text)  # f_k needs k >= 1
             if fm:
                 self.next()
-                return F(int(fm.group(1)))
+                return F(self.read_int(fm.group(1), offset))
             if text in CALL_NAMES:
                 return self.call()
             self.error({"'q'", "'f<k>'", *(f"'{n}'" for n in CALL_NAMES)})

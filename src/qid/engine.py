@@ -18,7 +18,7 @@ import json
 import os
 import time
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 
 from . import dsl
 from .appell_lerch import AppellLerchSpec, appell_lerch_m
@@ -29,8 +29,9 @@ from .outcome import VerificationOutcome, compare_series, int_str
 from .qproducts import (EtaExpression, SignedMonomial, eta_expression,
                         eta_expression_eval, pochhammer_finite, theta_j)
 from .record import Record
-from .series import (MAX_LITERAL_BITS, TruncatedLaurentSeries, check_bits,
-                     check_work_order)
+from .series import (MAX_INVERSE_BITS, MAX_LITERAL_BITS,
+                     TruncatedLaurentSeries, check_bits, check_work_order,
+                     checked_product)
 
 TIERS = ("core", "classical", "background")
 
@@ -43,9 +44,17 @@ TIERS = ("core", "classical", "background")
 #: listing (at most 500) stays below this.
 MAX_ORDER = 1000
 
-#: the binary nodes and the series operation each stands for
-_COMBINE = {dsl.Add: add, dsl.Sub: sub, dsl.Mul: mul,
-            dsl.Div: lambda a, b: a * b.invert()}
+#: the binary nodes and the series operation each stands for.  A product,
+#: of two factors or of a dividend and an inverse, is refused before it
+#: may hold more than MAX_INVERSE_BITS, as much as one inverse may: so an
+#: inverse times a small factor evaluates, and a chain of factors that
+#: each pass their own checks stops at that size
+_COMBINE = {
+    dsl.Add: add, dsl.Sub: sub,
+    dsl.Mul: lambda a, b: checked_product(a, b, "a series product",
+                                          MAX_INVERSE_BITS),
+    dsl.Div: lambda a, b: checked_product(a, b.invert(), "a series quotient",
+                                          MAX_INVERSE_BITS)}
 
 
 def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
@@ -349,6 +358,23 @@ def _bundled_registry() -> tuple[IdentityRecord, ...]:
     return load_registry(REGISTRY_PATH)
 
 
+def _oracle_numerators(sel: str, top: int, indices: range):
+    """(the coefficients of q^0 .. q^top of mock theta sel as ints, None),
+    or (None, the error outcome naming the first of indices whose
+    coefficient is not an integer).  The oracle sums integer terms, so its
+    den is 1; the check is made once, before any coefficient is read."""
+    series = mock_theta_series(sel, top)
+    nums, den = series.coeffs, series.den
+    if den != 1:
+        for idx in indices:
+            if nums[idx] % den:
+                return None, VerificationOutcome(
+                    "error", top, None, f"non-integer coefficient at index "
+                    f"{idx}: {Fraction(nums[idx], den)}")
+        nums = [c // den for c in nums]
+    return nums, None
+
+
 def check_congruence(sel: str, step: int, residue: int, modulus: int,
                      count: int) -> VerificationOutcome:
     if modulus < 2:
@@ -358,17 +384,15 @@ def check_congruence(sel: str, step: int, residue: int, modulus: int,
     if count < 1:
         raise ValueError("count must be positive")
     top = step * (count - 1) + residue
-    series = mock_theta_series(sel, top)
-    for n in range(count):
-        idx = step * n + residue
-        c = series.coefficient(idx)
-        if c.denominator != 1:
-            return VerificationOutcome(
-                "error", top, None, f"non-integer coefficient at index {idx}: {c}")
-        if c.numerator % modulus != 0:
-            return VerificationOutcome(
-                "fail", top, (idx, Fraction(c.numerator % modulus), Fraction(0)),
-                f"coefficient({idx}) = {c} is not 0 mod {modulus}")
+    indices = range(residue, top + 1, step)
+    nums, error = _oracle_numerators(sel, top, indices)
+    if error is not None:
+        return error
+    idx = next((i for i in indices if nums[i] % modulus), None)
+    if idx is not None:
+        return VerificationOutcome(
+            "fail", top, (idx, Fraction(nums[idx] % modulus), Fraction(0)),
+            f"coefficient({idx}) = {nums[idx]} is not 0 mod {modulus}")
     return VerificationOutcome("pass", top, None,
                                f"{count} coefficients divisible by {modulus}")
 
@@ -376,22 +400,20 @@ def check_congruence(sel: str, step: int, residue: int, modulus: int,
 def check_parity_characterization(sel: str, count: int) -> VerificationOutcome:
     """Coefficient is odd exactly at indices 2k^2+2k (k >= 0)."""
     top = count - 1
-    series = mock_theta_series(sel, top)
-    odd_set = set()
+    nums, error = _oracle_numerators(sel, top, range(count))
+    if error is not None:
+        return error
+    expected = [0] * count
     k = 0
     while 2 * k * k + 2 * k <= top:
-        odd_set.add(2 * k * k + 2 * k)
+        expected[2 * k * k + 2 * k] = 1
         k += 1
-    for n in range(count):
-        c = series.coefficient(n)
-        if c.denominator != 1:
-            return VerificationOutcome("error", top, None,
-                                       f"non-integer coefficient at index {n}: {c}")
-        expected = 1 if n in odd_set else 0
-        if c.numerator % 2 != expected:
-            return VerificationOutcome(
-                "fail", top, (n, Fraction(c.numerator % 2), Fraction(expected)),
-                f"parity of coefficient({n}) breaks the characterization")
+    parities = [c % 2 for c in nums]
+    if parities != expected:
+        n = next(i for i, (p, e) in enumerate(zip(parities, expected)) if p != e)
+        return VerificationOutcome(
+            "fail", top, (n, Fraction(parities[n]), Fraction(expected[n])),
+            f"parity of coefficient({n}) breaks the characterization")
     return VerificationOutcome("pass", top, None,
                                f"parity characterization holds for n <= {top}")
 

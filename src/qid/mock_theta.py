@@ -10,11 +10,21 @@ with a, b signed monomials, k in {0, 1} and p in {1, 2}.  The power-series
 part T_n = (a; q^2)_n / (b; q^2)_(n+k)^p is carried from term to term:
 T_(n+1) is T_n times one numerator binomial (1 - a*q^(2n)) and divided p
 times by one denominator binomial (1 - b*q^(2(n+k))), each an exact O(N)
-pass in integers.  Term n is needed only through q^(order - shift(n)), so
-the window shrinks as n grows.  Every summand is still the literal
-defining term, never a closed form, so this module stays the independent
-oracle the Appell-Lerch and eta-quotient representations are checked
-against.  The outer sum stops once shift(n) exceeds the truncation order.
+pass in integers.  A division whose window holds more than d blocks of
+its divisor's exponent d is a running sum along each residue class mod
+d, a few C-level passes (see qproducts.div_one_minus).  The divisors
+grow as 2n, so that covers the first terms of each selector: at order
+500, two thirds of the coefficients that A1 and B1 divide and a third of
+MU2's (whose eps = -1 halves the reach), but a few per cent of A2's
+and B2's, whose shift(n) grows as n, not n^2, so that their many later
+terms walk the window block by block.  Term n is needed only through
+q^(order - shift(n)), so the window shrinks as n grows.  The sum starts
+at q^0 with integer numerators over den 1, which `qid coeffs` and the
+congruence and parity checks read directly.  Every summand is still the
+literal defining term, never a closed form, so this module stays the
+independent oracle the Appell-Lerch and eta-quotient representations
+are checked against.  The outer sum stops once shift(n) exceeds the
+truncation order.
 """
 
 from __future__ import annotations

@@ -51,21 +51,28 @@ def compare_series(lhs: TruncatedLaurentSeries, rhs: TruncatedLaurentSeries,
     return VerificationOutcome("pass", compared, None, message)
 
 
-#: the most decimal digits int_str writes out; CPython's default limit on
-#: int-to-str conversion, which sys.set_int_max_str_digits can lower
-_MAX_DIGITS = 4300
+#: the most decimal digits int_str writes out and the DSL reads; CPython's
+#: default limit on int/str conversion, which sys.set_int_max_str_digits
+#: can lower
+MAX_DIGITS = 4300
+
+
+def max_digits() -> int:
+    """MAX_DIGITS, or the interpreter's own limit on int/str conversion
+    where that is lower (sys.get_int_max_str_digits, absent before CPython
+    3.10.7, where 0 means no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or MAX_DIGITS
+    return min(limit, MAX_DIGITS)
 
 
 def int_str(n: int) -> str:
     """str(n), or, for an integer that may have more decimal digits than
-    _MAX_DIGITS or the interpreter's own limit (sys.get_int_max_str_digits,
-    absent before CPython 3.10.7), a placeholder keeping its sign and size,
-    such as "-<integer of 20001 bits>".  The size comes from bit_length,
-    so no long conversion is attempted."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _MAX_DIGITS
+    max_digits(), a placeholder keeping its sign and size, such as
+    "-<integer of 20001 bits>".  The size comes from bit_length, so no
+    long conversion is attempted."""
     bits = n.bit_length()
     # a b-bit integer has at most floor(b * log10(2)) + 1 digits
-    if bits * 30103 // 100000 + 1 <= min(limit, _MAX_DIGITS):
+    if bits * 30103 // 100000 + 1 <= max_digits():
         return str(n)
     return f"{'-' if n < 0 else ''}<integer of {bits} bits>"
 

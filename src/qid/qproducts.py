@@ -9,6 +9,7 @@ Euler's pentagonal theorem (Andrews, The Theory of Partitions, Thm 2.8).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add, sub
 
@@ -70,13 +71,26 @@ def div_one_minus(s: TruncatedLaurentSeries, eps: int, d: int) -> TruncatedLaure
     """Divide s by the exact binomial (1 - eps*q^d), d >= 1.
 
     1/(1 - eps*q^d) is a power series with constant term 1, so the window
-    is kept: y[i] = x[i] + eps*y[i-d], done one block of d at a time."""
+    is kept: y[i] = x[i] + eps*y[i-d].  A window of more than d blocks of
+    d (d*d < len) and eps = 1 takes one running sum along each residue
+    class mod d, d `accumulate` calls in all; any other is walked one
+    block of d at a time.  For eps = -1 a window of more than 2d blocks of
+    2d is first multiplied by 1 - q^d, since 1/(1 + q^d) =
+    (1 - q^d)/(1 - q^(2d)), and then takes running sums mod 2d."""
     if d < 1:
         raise ValueError("div_one_minus needs d >= 1")
-    combine = add if eps > 0 else sub
     out = list(s.coeffs)
-    for i in range(d, len(out), d):
-        out[i:i + d] = map(combine, out[i:i + d], out[i - d:i])
+    n = len(out)
+    if eps < 0 and 4 * d * d < n:
+        out[d:] = map(sub, out[d:], s.coeffs[:n - d])
+        eps, d = 1, 2 * d
+    if eps > 0 and d * d < n:
+        for r in range(d):
+            out[r::d] = accumulate(out[r::d])
+    else:
+        combine = add if eps > 0 else sub
+        for i in range(d, n, d):
+            out[i:i + d] = map(combine, out[i:i + d], out[i - d:i])
     return TruncatedLaurentSeries(s.min_exp, s.order, tuple(out), s.den)
 
 

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, output shapes, registry resolution."""
 
+import hashlib
 import json
 import re
 import time
@@ -77,6 +78,33 @@ def test_coeffs(capsys):
 
     code, _, err = run(capsys, "coeffs", "Z", "--upto", "3")
     assert code == 2
+
+
+# SHA-256 of `qid coeffs SEL --upto 1000` and of the same with --mod 7,
+# pinned from the listing as it was written one print() per coefficient.
+# Each pair of selectors is two defining series of one function.
+_COEFFS_1000_SHA256 = {
+    "A1": ("4bcc2c913845cd29c9b1033e3ced0cf48c65b8fdf2b20e3bb75391e5b05b8f99",
+           "7a8d644ae01e3611ac808110b07756dc9b358f5daa2fd0b74bd010d2dc0377e1"),
+    "A2": ("4bcc2c913845cd29c9b1033e3ced0cf48c65b8fdf2b20e3bb75391e5b05b8f99",
+           "7a8d644ae01e3611ac808110b07756dc9b358f5daa2fd0b74bd010d2dc0377e1"),
+    "B1": ("a426046d6e436c75c3a4f160d2770334d798c6ecd2339d1225d4f0800ae2ab4f",
+           "3097678daa8d8e8a78604cab08bcf1c98be7167b3b773bd3495a8024e574591e"),
+    "B2": ("a426046d6e436c75c3a4f160d2770334d798c6ecd2339d1225d4f0800ae2ab4f",
+           "3097678daa8d8e8a78604cab08bcf1c98be7167b3b773bd3495a8024e574591e"),
+    "MU2": ("20e105b988503dcff83295e18f082e9a3c44b0f5e5ed441bfca5aa89632db1af",
+            "06eeb678ff847a563fb4d2cdc94b1aefd6517e70ad52714af1f7dae1d56130fb"),
+}
+
+
+@pytest.mark.parametrize("sel", sorted(_COEFFS_1000_SHA256))
+@pytest.mark.parametrize("mod", [(), ("--mod", "7")])
+def test_coeffs_1000_sha256(capsys, sel, mod):
+    code, out, err = run(capsys, "coeffs", sel, "--upto", "1000", *mod)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1001 and out.endswith("\n")
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == _COEFFS_1000_SHA256[sel][len(mod) // 2]
 
 
 def test_param_check(capsys):
@@ -343,6 +371,49 @@ def test_huge_coefficients_print_as_placeholders(capsys):
     assert json.loads(out)[0]["first_mismatch"] == {
         "exponent": 0, "lhs": "<integer of 20001 bits>/1",
         "rhs": "-<integer of 20001 bits>/3"}
+
+
+def test_series_products_are_bounded(capsys):
+    # each factor passes its own checks, and a product or a quotient is
+    # refused before it may hold more bits than an inverse may: a chain of
+    # factors of 1.5 million bits at the eleventh, where each further
+    # factor would cost more than the last, and a quotient of 12 million
+    # bits by an inverse of 5 million; below the limit both evaluate
+    c = "2^250000"
+    y = f"({c}+q)"
+    for expr, order, what in [
+            ("*".join([y] * 160), 5, "a series product"),
+            ("(2^12000+q)/(1-1024*q)", 1000, "a series quotient")]:
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--expr", expr, "--expr", "1",
+                           "--order", str(order))
+        assert time.perf_counter() - t0 < 1, expr[:40]
+        assert code == 2 and out.startswith("adhoc: error"), out
+        assert f"{what} would hold about " in out
+        assert out.endswith(f"above the limit {MAX_INVERSE_BITS}\n"), out
+    for lhs, rhs, order in [
+            ("*".join([y] * 4), "*".join([f"({c}*{c}+2*{c}*q+q^2)"] * 2), 5),
+            ("(2^6000+q)/(1-1024*q)", "(2^6000+q)*(1/(1-1024*q))", 1000)]:
+        code, out, _ = run(capsys, "verify", "--expr", lhs, "--expr", rhs,
+                           "--order", str(order))
+        assert (code, out) == (0, f"adhoc: pass (order {order})\n"), lhs
+
+
+_LONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("expr, column", [
+    (f"J(q^{_LONG}, 3)", 5), (_LONG, 1), (f"SUBST(f1, {_LONG})", 11),
+    (f"2/{_LONG}", 3), (f"f{_LONG}", 1)])
+def test_long_integer_literals(capsys, expr, column):
+    # refused by the parser, with a position, on every CPython version
+    message = (f"integer literal with 5001 digits (the limit is 4300) at "
+               f"line 1, column {column}")
+    code, out, err = run(capsys, "verify", "--expr", expr, "--expr", "1")
+    assert (code, err) == (2, "")
+    assert out.splitlines() == ["adhoc: error", f"  {message}"]
+    code, out, err = run(capsys, "param-check", "--expr", expr)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_int_str_bound():

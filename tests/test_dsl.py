@@ -1,5 +1,6 @@
 """Expression DSL: parsing, precedence, printing, error reporting."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qid import ParseError, SignedMonomial, load_registry
-from qid.dsl import (AL, MAX_NESTING, MT, Add, Div, Extract, F, Lit, Mul, Neg,
-                     Pow, Q, Sub, parse, print_expr)
+from qid.dsl import (AL, MAX_NESTING, MT, Add, Div, Extract, F, J, Lit, Mul,
+                     Neg, Pow, Q, Sub, parse, print_expr)
 
 
 def test_eta_quotient_ast():
@@ -194,6 +195,31 @@ def test_exponent_bound():
     for k in (2 ** 63, -2 ** 63):
         with pytest.raises(ValueError, match=f"above the limit {top}"):
             Pow(F(1), k)
+
+
+def test_integer_literal_digit_bound():
+    # at most 4300 digits after the leading zeros, counted before int()
+    top = "9" * 4300
+    assert parse(top) == Lit(Fraction(int(top)))
+    assert parse("0" * 5000 + "7") == Lit(Fraction(7))
+    assert parse(f"J(q^{'0' * 5000}2, 3)") == J(SignedMonomial(1, 2), 3)
+    for bad, column in (("1" + top, 1), (f"q*{top}1", 3), (f"f1^2*{top}9", 6),
+                        (f"EXTRACT(f1, 1{top}, 0)", 13)):
+        with pytest.raises(ParseError, match="integer literal with 4301 "
+                           r"digits \(the limit is 4300\)") as info:
+            parse(bad)
+        assert info.value.column == column
+    if hasattr(sys, "set_int_max_str_digits"):
+        # an interpreter limit set lower is the limit, not a ValueError
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert parse("7" * 640) == Lit(Fraction(int("7" * 640)))
+            with pytest.raises(ParseError, match="with 641 digits "
+                               r"\(the limit is 640\) at line 1, column 3"):
+                parse("q*" + "7" * 641)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 def test_print_long_chains():

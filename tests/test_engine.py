@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from qid import (SELECTORS, EtaExpression, IdentityRecord, QidError,
                  SignedMonomial, check_congruence, eta_expression, eval_expr,
                  expr_to_eta, load_registry, report_json, run_suite, verify)
-from qid import dsl
+from qid import dsl, engine
 from qid.dsl import parse, print_expr
 from qid.engine import check_parity_characterization
+from qid.mock_theta import mock_theta_series
 from qid.qproducts import (_eta_power_cache, _results, eta_expression_eval,
                            eta_f)
 from qid.series import TruncatedLaurentSeries as S
@@ -139,6 +140,76 @@ def test_parity_characterization():
     assert check_parity_characterization("B1", 301).status == "pass"
     # A's coefficients do not follow B's parity pattern
     assert check_parity_characterization("A1", 30).status == "fail"
+
+
+def congruence_per_index(series, step, residue, modulus, count):
+    """check_congruence's verdict read one Fraction coefficient at a time."""
+    top = step * (count - 1) + residue
+    for n in range(count):
+        idx = step * n + residue
+        c = series.coefficient(idx)
+        if c.denominator != 1:
+            return ("error", top, None,
+                    f"non-integer coefficient at index {idx}: {c}")
+        if c.numerator % modulus:
+            return ("fail", top, (idx, c.numerator % modulus, 0),
+                    f"coefficient({idx}) = {c} is not 0 mod {modulus}")
+    return ("pass", top, None, f"{count} coefficients divisible by {modulus}")
+
+
+def parity_per_index(series, count):
+    """check_parity_characterization's verdict, one coefficient at a time."""
+    top = count - 1
+    for n in range(count):
+        c = series.coefficient(n)
+        if c.denominator != 1:
+            return ("error", top, None,
+                    f"non-integer coefficient at index {n}: {c}")
+        expected = int(any(2 * k * k + 2 * k == n for k in range(n + 1)))
+        if c.numerator % 2 != expected:
+            return ("fail", top, (n, c.numerator % 2, expected),
+                    f"parity of coefficient({n}) breaks the characterization")
+    return ("pass", top, None, f"parity characterization holds for n <= {top}")
+
+
+def fields(out):
+    return out.status, out.compared_order, out.first_mismatch, out.message
+
+
+@pytest.mark.parametrize("sel", SELECTORS)
+def test_congruence_and_parity_match_per_index_reading(sel):
+    for step, residue, modulus, count in [
+            (1, 0, 2, 50), (4, 1, 7, 5), (6, 3, 6, 40), (5, 4, 5, 60),
+            (10, 6, 5, 30), (3, 2, 3, 100), (7, 0, 2, 20)]:
+        top = step * (count - 1) + residue
+        want = congruence_per_index(mock_theta_series(sel, top), step,
+                                    residue, modulus, count)
+        got = check_congruence(sel, step, residue, modulus, count)
+        assert fields(got) == want, (sel, step, residue, modulus, count)
+    for count in (1, 2, 13, 301):
+        want = parity_per_index(mock_theta_series(sel, count - 1), count)
+        assert fields(check_parity_characterization(sel, count)) == want
+
+
+def test_congruence_and_parity_over_a_denominator(monkeypatch):
+    # the oracle's den is 1; a series over a denominator is read exactly:
+    # a non-integer coefficient among those checked is an error, named by
+    # the first, ahead of any mismatch, and integer ones are checked as
+    # integers
+    halves = S.from_terms({0: 2, 1: Fraction(1, 2), 2: 4, 3: 7, 4: 6}, 40)
+    monkeypatch.setattr(engine, "mock_theta_series",
+                        lambda sel, order: halves.truncate(order))
+    error = ("error", 1, None, "non-integer coefficient at index 1: 1/2")
+    for args, want in [((2, 0, 2, 3), ("pass", 4, None,
+                                       "3 coefficients divisible by 2")),
+                       ((3, 0, 2, 2), ("fail", 3, (3, 1, 0),
+                                       "coefficient(3) = 7 is not 0 mod 2")),
+                       ((1, 0, 2, 2), error), ((2, 1, 2, 1), error)]:
+        assert fields(check_congruence("B1", *args)) == want, args
+    # coefficient 0 is even, so per index this was a fail at q^0
+    assert fields(check_parity_characterization("B1", 2)) == error
+    assert fields(check_parity_characterization("B1", 1))[:3] \
+        == ("fail", 0, (0, 0, 1))
 
 
 def test_run_suite_deterministic(registry):

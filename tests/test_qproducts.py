@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qid import (QidError, SignedMonomial, ThetaVanishesError,
@@ -224,6 +225,57 @@ def test_div_one_minus_inverts_mul_one_minus(eps, d):
     assert div_one_minus(mul_one_minus(s, eps, d), eps, d) == s
     geometric = S.from_terms({d * k: eps ** k for k in range(24 // d + 1)}, 24)
     assert div_one_minus(s, eps, d) == s * geometric
+
+
+def literal_division(s, eps, d):
+    """s / (1 - eps*q^d) as the recurrence y[i] = x[i] + eps*y[i-d] over
+    s's window, one index at a time."""
+    y = []
+    for i, x in enumerate(s.coeffs):
+        y.append(x + eps * y[i - d] if i >= d else x)
+    return S(s.min_exp, s.order, tuple(y), s.den)
+
+
+@given(st.integers(0, 300), st.integers(1, 60), st.sampled_from([1, -1]),
+       st.sampled_from([2, 3, 6]), st.integers(-20, 20).filter(bool),
+       st.integers(0, 2 ** 32))
+# both sides of d*d < len for eps = 1, and of 4*d*d < len for eps = -1
+@example(100, 10, 1, 2, -3, 1)
+@example(101, 10, 1, 2, -3, 1)
+@example(101, 10, -1, 3, 5, 2)
+@example(400, 10, -1, 3, 5, 2)
+@example(401, 10, -1, 6, -7, 3)
+@example(300, 1, -1, 6, 1, 4)
+@settings(max_examples=300, deadline=None)
+def test_div_one_minus_matches_recurrence(n, d, eps, den, lo, seed):
+    """Running sums per residue class, the block recurrence and the
+    eps = -1 rewrite give the literal recurrence's window, over a
+    denominator and off q^0."""
+    rng = random.Random(seed)
+    s = S(lo, lo + n - 1, tuple(rng.randint(-10 ** 6, 10 ** 6)
+                                for _ in range(n)), den)
+    assert window(div_one_minus(s, eps, d)) \
+        == window(literal_division(s, eps, d))
+
+
+@pytest.mark.parametrize("n, eps, d, sums", [
+    (500, 1, 1, 1), (500, 1, 22, 22), (484, 1, 22, 0), (80, 1, 60, 0),
+    (500, -1, 2, 4), (401, -1, 10, 20), (400, -1, 10, 0), (300, -1, 15, 0)])
+def test_div_one_minus_regime(monkeypatch, n, eps, d, sums):
+    """The regime is a property of the input: running sums, one
+    `accumulate` per residue class, when the window holds more than d
+    blocks of d (2d for eps = -1, which sums mod 2d), the block
+    recurrence otherwise; both give the literal recurrence."""
+    calls = []
+
+    def counted(xs):
+        calls.append(1)
+        return accumulate(xs)
+    monkeypatch.setattr(qproducts, "accumulate", counted)
+    s = S(0, n - 1, tuple(range(1, n + 1)))
+    assert window(div_one_minus(s, eps, d)) \
+        == window(literal_division(s, eps, d))
+    assert len(calls) == sums
 
 
 def test_div_one_minus_rejects_nonpositive_power():
