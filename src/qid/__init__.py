@@ -15,8 +15,8 @@ from .mock_theta import SELECTORS, mock_theta_series
 from .outcome import VerificationOutcome, compare_series
 from .paramcheck import ParamProofOutcome, PPolynomial, prove_zero
 from .qproducts import (EtaExpression, EtaMonomial, SignedMonomial,
-                        eta_expression, eta_expression_eval, eta_f,
-                        eta_power, pochhammer_finite, theta_j)
+                        eta_expression, eta_expression_eval, eta_power,
+                        pochhammer_finite, theta_j)
 from .series import TruncatedLaurentSeries
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "mock_theta_series", "VerificationOutcome", "compare_series",
     "ParamProofOutcome", "PPolynomial", "prove_zero",
     "EtaExpression", "EtaMonomial", "SignedMonomial", "eta_expression",
-    "eta_expression_eval", "eta_f", "eta_power",
+    "eta_expression_eval", "eta_power",
     "pochhammer_finite", "theta_j", "TruncatedLaurentSeries",
 ]
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from operator import add, sub
 
+from .caches import kept
 from .qproducts import SignedMonomial, div_one_minus, mul_one_minus
 from .series import TruncatedLaurentSeries
 
@@ -49,8 +50,6 @@ _FORMS = {
 }
 
 SELECTORS = tuple(_FORMS)
-
-_cache: dict[str, TruncatedLaurentSeries] = {}
 
 
 def _divide(t: TruncatedLaurentSeries, b: SignedMonomial, j: int, p: int) -> TruncatedLaurentSeries:
@@ -80,11 +79,10 @@ def _summed(sel: str, order: int) -> TruncatedLaurentSeries:
 
 
 def mock_theta_series(sel: str, order: int) -> TruncatedLaurentSeries:
+    """The direct sum of selector sel through q^order, kept in the memo
+    (qid.caches) so that a shorter request is a truncation."""
     if sel not in _FORMS:
         raise ValueError(f"unknown mock theta selector {sel!r}")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    cached = _cache.get(sel)
-    if cached is None or cached.order < order:
-        _cache[sel] = cached = _summed(sel, order)
-    return cached.truncate(order)
+    return kept(("MT", sel), order, lambda: _summed(sel, order))

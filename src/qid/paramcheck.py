@@ -124,15 +124,14 @@ class ParamProofOutcome(Record):
 
 
 def prove_zero(e: EtaExpression) -> ParamProofOutcome:
-    if not e.terms:
-        raise ValueError("prove_zero requires a nonempty expression")
     vectors = [_vector24(t) for t in e.terms]
 
     ks, qs = ({v[i] for v in vectors} for i in (6, 7))
     if len(ks) > 1 or len(qs) > 1:
-        ks, qs = (sorted(_F(x, 24) for x in xs) for xs in (ks, qs))
+        ks, qs = (", ".join(fraction_str(_F(x, 24)) for x in sorted(xs))
+                  for xs in (ks, qs))
         return ParamProofOutcome(
-            "NonUniform", f"k-exponents {ks}, q-exponents {qs} are not uniform")
+            "NonUniform", f"k-exponents [{ks}], q-exponents [{qs}] are not uniform")
 
     # the classes of the six p-slot exponents mod 1, in term order
     classes: dict[tuple, list] = {}

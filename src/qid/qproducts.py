@@ -13,6 +13,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import add, sub
 
+from .caches import kept
 from .errors import QidError, ThetaVanishesError
 from .record import Record
 from .series import (MAX_LITERAL_BITS, MAX_POW_EXPONENT, MAX_WORK_ORDER,
@@ -109,35 +110,24 @@ def pochhammer_finite(a: SignedMonomial, step: int, n: int, order: int) -> Trunc
     return s.truncate(order)
 
 
-#: f_1^e for e >= 1, keyed by e; every entry is known through a multiple
-#: of _CACHE_STEP, and a longer request rebuilds it
-_eta_power_cache: dict[int, TruncatedLaurentSeries] = {}
-
-
 def _f1_power(e: int, order: int, what: str = "") -> TruncatedLaurentSeries:
     """f_1^e, e >= 1, order >= 0: f_1 is Euler's pentagonal series
     j(q; q^3), and f_1^e is (f_1^(e//2))^2, times f_1 when e is odd, so
-    one request caches O(log e) powers.  A product that may hold more than
-    MAX_ETA_BITS is refused before it is computed; what names the power
-    first asked for."""
-    cached = _eta_power_cache.get(e)
-    if cached is None or cached.order < order:
+    one request keeps O(log e) powers in the memo (qid.caches), each built
+    through a multiple of _CACHE_STEP so that nearby orders share it.  A
+    product that may hold more than MAX_ETA_BITS is refused before it is
+    computed; what names the power first asked for."""
+    def build():
         work = -(-max(order, 1) // _CACHE_STEP) * _CACHE_STEP
         if e == 1:
-            s = theta_j(SignedMonomial(1, 1), 3, work)
-        else:
-            what = what or f"a product in the power f1^{e}"
-            half = _f1_power(e // 2, work, what)
-            s = checked_product(half, half, what, MAX_ETA_BITS)
-            if e % 2:
-                s = checked_product(s, _f1_power(1, work), what, MAX_ETA_BITS)
-        _eta_power_cache[e] = cached = s
-    return cached.truncate(order)
-
-
-def eta_f(k: int, order: int) -> TruncatedLaurentSeries:
-    """f_k = (q^k; q^k)_infinity = prod_{j>=1} (1 - q^(k*j)), truncated."""
-    return eta_power(k, 1, order)
+            return theta_j(SignedMonomial(1, 1), 3, work)
+        named = what or f"a product in the power f1^{e}"
+        half = _f1_power(e // 2, work, named)
+        s = checked_product(half, half, named, MAX_ETA_BITS)
+        if e % 2:
+            s = checked_product(s, _f1_power(1, work), named, MAX_ETA_BITS)
+        return s
+    return kept(("f1", e), order, build)
 
 
 def eta_power(k: int, e: int, order: int) -> TruncatedLaurentSeries:
@@ -223,14 +213,6 @@ def _eta_product(exps: dict[int, int], order: int) -> TruncatedLaurentSeries:
     return _eta_product(rest, order) * _eta_product(group, order)
 
 
-#: the last _RESULTS_KEPT values of eta_expression_eval, keyed by
-#: expression: a dissection check such as
-#: E = sum_r q^r SUBST(EXTRACT(E, m, r), m) evaluates the same E m + 1
-#: times at about the same order
-_results: dict[EtaExpression, TruncatedLaurentSeries] = {}
-_RESULTS_KEPT = 16
-
-
 def eta_expression_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeries:
     """sum_i c_i q^(a_i) prod_k f_k^(e_ik), exact through q^order.
 
@@ -238,22 +220,16 @@ def eta_expression_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeri
     A = min a_i and m_k = min(0, min_i e_ik) over the nonzero terms, the
     sum is U * sum_i c_i q^(a_i - A) prod_k f_k^(e_ik - m_k), where
     U = q^A prod_k f_k^(m_k).  Every power left in the sum is nonnegative,
-    so it comes from the eta_power cache with small coefficients and
+    so it comes from the memo of f_1 powers with small coefficients and
     needs no inversion; U's negative part costs one inversion of the
     positive product prod_k f_k^(-m_k).  Each f_k^e has constant term 1,
     so nothing loses order: the sum is needed through q^(order - A), and
     the result is known through q^order exactly.  A request at or below
-    the order of a kept result (see _results) is that result, truncated.
+    the order of a kept value is that value, truncated (qid.caches): a
+    dissection check such as E = sum_r q^r SUBST(EXTRACT(E, m, r), m)
+    evaluates the same E m + 1 times at about the same order.
     """
-    cached = _results.get(expr)
-    if cached is not None and cached.order >= order:
-        return cached.truncate(order)
-    s = _normal_form_eval(expr, order)
-    _results.pop(expr, None)
-    if len(_results) >= _RESULTS_KEPT:
-        del _results[next(iter(_results))]
-    _results[expr] = s
-    return s
+    return kept(expr, order, lambda: _normal_form_eval(expr, order))
 
 
 def _normal_form_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeries:

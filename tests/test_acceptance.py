@@ -11,7 +11,7 @@ import pytest
 
 from qid import (SignedMonomial, TruncatedLaurentSeries, appell_lerch_m,
                  AppellLerchSpec, dissect_extract, dissect_reconstruct,
-                 eta_f, expr_to_eta, load_registry, mock_theta_series,
+                 eta_power, expr_to_eta, load_registry, mock_theta_series,
                  prove_zero, theta_j, verify)
 from qid.dsl import parse
 
@@ -108,7 +108,7 @@ def test_criterion_8_property_suites():
     ok &= mock_theta_series("B1", 300) == mock_theta_series("B2", 300)
 
     # f1 against its literal product to order 500
-    ok &= window(eta_f(1, 500)) == window(f1_product(500))
+    ok &= window(eta_power(1, 1, 500)) == window(f1_product(500))
 
     # theta_j's triple product sum against the literal product,
     # 20 random instantiations, order 200

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from qid import (SELECTORS, EtaExpression, IdentityRecord, QidError,
                  SignedMonomial, check_congruence, eta_expression, eval_expr,
                  expr_to_eta, load_registry, report_json, run_suite, verify)
-from qid import dsl, engine
+from qid import dsl, engine, qproducts
+from qid.caches import clear_all
 from qid.dsl import parse, print_expr
 from qid.engine import check_parity_characterization
 from qid.mock_theta import mock_theta_series
-from qid.qproducts import (_eta_power_cache, _results, eta_expression_eval,
-                           eta_f)
+from qid.qproducts import eta_expression_eval, eta_power
 from qid.series import TruncatedLaurentSeries as S
 
 
@@ -240,7 +240,7 @@ def test_expr_to_eta_matches_eval():
     assert got == eval_expr(parse(src), 30)
     # eval_expr evaluates through expr_to_eta as well, so check both
     # against the same sum built from series arithmetic
-    f1, f2, f3, f4, f6 = (eta_f(k, 30) for k in (1, 2, 3, 4, 6))
+    f1, f2, f3, f4, f6 = (eta_power(k, 1, 30) for k in (1, 2, 3, 4, 6))
     want = (f2.pow(7) * f3.pow(2) * (f1.pow(6) * f4 * f6).invert()
             - (S.monomial(1, 30) * f1.pow(2) * f4.invert()).scale(3)
             + S.one(30).scale(Fraction(1, 2)))
@@ -261,21 +261,41 @@ def test_load_registry_rejects_bad_tier(tmp_path):
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 65, 200])
-def test_eta_powers_use_cache(n):
-    _eta_power_cache.clear()
-    _results.clear()
+def test_eta_powers_use_cache(n, monkeypatch):
+    clear_all()
     got = eval_expr(parse("f3^-7*f2^5"), n)
-    want = eta_f(3, n).pow(-7) * eta_f(2, n).pow(5)
+    want = eta_power(3, 1, n).pow(-7) * eta_power(2, 1, n).pow(5)
     assert got == want and got.order == want.order == n
     # the normal form needs f2^5 and f3^7 (inverted once), which are f1^5
-    # and f1^7 at q -> q^2, q^3; the cache holds positive powers of f1
-    # only, and a second evaluation rebuilds none of them
-    assert {5, 7} <= _eta_power_cache.keys()
-    assert all(e > 0 for e in _eta_power_cache)
-    built = dict(_eta_power_cache)
-    _results.clear()
-    assert eval_expr(parse("f3^-7*f2^5"), n) == got
-    assert all(_eta_power_cache[key] is s for key, s in built.items())
+    # and f1^7 at q -> q^2, q^3; a second normal form that needs the same
+    # powers builds no power of f1 again
+    built = []
+    product, theta = qproducts.checked_product, qproducts.theta_j
+    monkeypatch.setattr(qproducts, "checked_product",
+                        lambda *a: built.append(a) or product(*a))
+    monkeypatch.setattr(qproducts, "theta_j",
+                        lambda *a: built.append(a) or theta(*a))
+    assert eval_expr(parse("2*f3^-7*f2^5"), n) == got.scale(2)
+    assert built == []
+    # with the memo emptied, the same evaluation builds them again
+    clear_all()
+    assert eval_expr(parse("2*f3^-7*f2^5"), n) == got.scale(2)
+    assert built
+
+
+def test_verdicts_do_not_depend_on_the_memo(registry):
+    # one pass with whatever earlier records left in the memo, against
+    # each record evaluated alone from an empty one
+    def fields(results):
+        return [{k: v for k, v in row.items() if k != "elapsed_ms"}
+                for row in report_json(results)]
+
+    warm = fields(run_suite(registry))
+    cold = []
+    for rec in sorted(registry, key=lambda r: r.id):
+        clear_all()
+        cold += fields(run_suite([rec]))
+    assert len(warm) == len(registry) and warm == cold
 
 
 class _UncheckedSubst(dsl.Subst):

@@ -2,12 +2,15 @@
 
 import hashlib
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qid import SELECTORS, mock_theta, mock_theta_series
+from qid import (SELECTORS, eta_expression, eta_expression_eval, eta_power,
+                 mock_theta, mock_theta_series, qproducts)
+from qid.caches import clear_all
 from qid.cli import main
 
 
@@ -133,14 +136,32 @@ def test_matches_fraction_reference(sel, order):
     assert [s.coefficient(i) for i in range(order + 1)] == _reference_series(sel, order)
 
 
-@pytest.mark.parametrize("sel", SELECTORS)
-def test_cache_growth_matches_fresh(sel):
-    mock_theta._cache.clear()
-    first = mock_theta_series(sel, 50)
-    grown = mock_theta_series(sel, 300)
-    shrunk = mock_theta_series(sel, 100)
-    mock_theta._cache.clear()
-    assert shrunk == mock_theta_series(sel, 100)
-    assert first == mock_theta_series(sel, 50)
-    mock_theta._cache.clear()
-    assert grown == mock_theta_series(sel, 300)
+#: name -> (the series through q^n, the module and name of what builds
+#: it on a miss): each kind of series qid keeps
+_KEPT = {
+    **{sel: (partial(mock_theta_series, sel), mock_theta, "_summed")
+       for sel in SELECTORS},
+    "f1^7": (partial(eta_power, 1, 7), qproducts, "theta_j"),
+    "eta-quotient": (partial(eta_expression_eval, eta_expression(
+        [(1, 0, {2: 7, 3: 2, 1: -6, 4: -1, 6: -1}), (-3, 1, {1: 2, 4: -1})])),
+        qproducts, "_normal_form_eval"),
+}
+
+
+@pytest.mark.parametrize("name", _KEPT)
+def test_cache_growth_matches_fresh(name, monkeypatch):
+    series, module, builder = _KEPT[name]
+    builds = []
+    build = getattr(module, builder)
+    monkeypatch.setattr(module, builder,
+                        lambda *a: builds.append(a) or build(*a))
+    clear_all()
+    first = series(50)
+    grown = series(300)
+    shrunk = series(100)
+    assert len(builds) == 2  # the shorter request is a truncation
+    for order, got in ((100, shrunk), (50, first), (300, grown)):
+        clear_all()
+        del builds[:]
+        assert got == series(order) and got.order == order
+        assert builds  # emptied, the memo builds anew

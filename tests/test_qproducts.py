@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from qid import (QidError, SignedMonomial, ThetaVanishesError,
                  TruncatedLaurentSeries, eta_expression, eta_expression_eval,
-                 eta_f, eta_power, pochhammer_finite, qproducts, theta_j)
-from qid.qproducts import _eta_power_cache, div_one_minus, mul_one_minus
+                 eta_power, pochhammer_finite, qproducts, theta_j)
+from qid.caches import clear_all
+from qid.qproducts import div_one_minus, mul_one_minus
 
 S = TruncatedLaurentSeries
 
@@ -69,13 +70,13 @@ def test_pochhammer_composition():
 
 
 def test_eta_f_pentagonal_short():
-    f1 = eta_f(1, 15)
+    f1 = eta_power(1, 1, 15)
     assert f1.nonzero_terms() == {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1,
                                   15: -1}
 
 
 def test_eta_f_pentagonal_oracle_500():
-    assert window(eta_f(1, 500)) == window(f1_product(500))
+    assert window(eta_power(1, 1, 500)) == window(f1_product(500))
 
 
 def test_f1_matches_product_orders_0_to_1000():
@@ -83,8 +84,8 @@ def test_f1_matches_product_orders_0_to_1000():
     for order in range(1001):
         expected = window(product.truncate(order))
         assert window(theta_j(SignedMonomial(1, 1), 3, order)) == expected
-        _eta_power_cache.clear()
-        assert window(eta_f(1, order)) == expected, order
+        clear_all()
+        assert window(eta_power(1, 1, order)) == expected, order
 
 
 def may_hold(a, b):
@@ -105,10 +106,9 @@ def test_f1_power_refuses_a_product_above_the_limit(monkeypatch):
     square = may_hold(f1, f1)
     odd = may_hold(f1 * f1, f1)
     assert square < odd
-    monkeypatch.setattr(qproducts, "_eta_power_cache", {})
     for limit, bits in [(odd, None), (odd - 1, odd), (square - 1, square)]:
         monkeypatch.setattr(qproducts, "MAX_ETA_BITS", limit)
-        qproducts._eta_power_cache.clear()
+        clear_all()
         if bits is None:
             assert eta_power(1, 3, 100) == (f1 * f1 * f1).truncate(100)
             continue
@@ -119,10 +119,10 @@ def test_f1_power_refuses_a_product_above_the_limit(monkeypatch):
             f"above the limit {limit}")
 
 
-def test_f1_power_refusal_names_the_power_asked_for(monkeypatch):
+def test_f1_power_refusal_names_the_power_asked_for():
     # f1^100000 is refused in a product of f1^1562, one of its halvings;
     # the message names the power the caller asked for
-    monkeypatch.setattr(qproducts, "_eta_power_cache", {})
+    clear_all()
     with pytest.raises(QidError) as info:
         eta_power(1, 100000, 1000)
     assert str(info.value).startswith(
@@ -138,8 +138,8 @@ def test_eta_power_exponent_bound():
 
 
 def test_eta_f_small():
-    assert eta_f(2, 3).nonzero_terms() == {0: 1, 2: -1}
-    assert eta_f(7, 5) == S.one(5)  # no factor within the order
+    assert eta_power(2, 1, 3).nonzero_terms() == {0: 1, 2: -1}
+    assert eta_power(7, 1, 5) == S.one(5)  # no factor within the order
 
 
 def test_eta_quotients():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qid import (NotInvertibleError, QidError, TruncatedLaurentSeries,
-                 TruncationError, compare_series, dissect_extract, eta_f,
+                 TruncationError, compare_series, dissect_extract, eta_power,
                  series)
 from qid.qproducts import mul_one_minus
 from qid.series import MAX_LITERAL_BITS, _convolve_int
@@ -47,7 +47,7 @@ def test_mul_examples():
     q = S.monomial(2, 5)
     assert (p * q).nonzero_terms() == {0: 1}
 
-    f1 = eta_f(1, 4)
+    f1 = eta_power(1, 1, 4)
     sq = f1 * f1
     assert [sq.coefficient(i) for i in range(5)] == [1, -2, -1, 2, 1]
 
@@ -67,7 +67,7 @@ def test_invert_examples():
     q = S.monomial(1, 3)
     assert q.invert().nonzero_terms() == {-1: 1}
 
-    partitions = eta_f(1, 5).invert()
+    partitions = eta_power(1, 1, 5).invert()
     assert [partitions.coefficient(n) for n in range(6)] == [1, 1, 2, 3, 5, 7]
 
 
