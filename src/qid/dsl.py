@@ -126,6 +126,7 @@ _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^(),])")
 #: any character no token starts with, other than whitespace
 _BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z\-+*/^(),]")
 _KINDS = ("", "INT", "NAME", "OP")
+_F_RE = re.compile(r"f(0*[1-9]\d*)")  # f_k needs k >= 1
 
 
 class _Parser:
@@ -137,12 +138,14 @@ class _Parser:
         # (kind, text, offset); finditer skips only whitespace, since every
         # other character starts a token.  An offset becomes a line and a
         # column only in fail().  End of input sits one past the start of
-        # the last token.
+        # the last token; next() stops at the first of three EOF tokens,
+        # so peek(2) never runs past the end.
         self.toks = [(_KINDS[m.lastindex], m.group(), m.start())
                      for m in _TOKEN_RE.finditer(src)]
-        self.toks.append(("EOF", "", self.toks[-1][2] + 1 if self.toks else 1))
+        self.toks += [("EOF", "", self.toks[-1][2] + 1 if self.toks else 1)] * 3
         self.i = 0
         self.depth = 0
+        self.max_digits = max_digits()
 
     def fail(self, message, offset: int, expected=()):
         src = self.src
@@ -150,7 +153,12 @@ class _Parser:
                          offset - src.rfind("\n", 0, offset), expected)
 
     def peek(self, ahead: int = 0):
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
+
+    def at(self, text: str) -> bool:
+        """Whether the next token spells text, an operator or "q": no other
+        token, nor the EOF token's "", spells either."""
+        return self.toks[self.i][1] == text
 
     def next(self):
         t = self.toks[self.i]
@@ -169,13 +177,13 @@ class _Parser:
             self.fail(f"expression nested more than {MAX_NESTING} deep", offset)
 
     def expect_op(self, op: str):
-        if self.peek()[:2] == ("OP", op):
+        if self.at(op):
             return self.next()
         self.error({f"'{op}'"})
 
     def expect_int(self) -> int:
         neg = False
-        if self.peek()[:2] == ("OP", "-"):
+        if self.at("-"):
             self.next()
             neg = True
         kind, text, offset = self.peek()
@@ -190,7 +198,7 @@ class _Parser:
         digits after its leading zeros, so that int() never meets the
         interpreter's own limit, on any CPython version."""
         digits = digits.lstrip("0")
-        limit = max_digits()
+        limit = self.max_digits
         if len(digits) > limit:
             self.fail(f"integer literal with {len(digits)} digits (the limit "
                       f"is {limit})", offset)
@@ -207,7 +215,7 @@ class _Parser:
     def expr(self):
         self.enter(self.peek()[2])
         e = self.term()
-        while self.peek()[:2] in (("OP", "+"), ("OP", "-")):
+        while self.at("+") or self.at("-"):
             op = self.next()[1]
             rhs = self.term()
             e = Add(e, rhs) if op == "+" else Sub(e, rhs)
@@ -216,14 +224,14 @@ class _Parser:
 
     def term(self):
         e = self.unary()
-        while self.peek()[:2] in (("OP", "*"), ("OP", "/")):
+        while self.at("*") or self.at("/"):
             op = self.next()[1]
             rhs = self.unary()
             e = Mul(e, rhs) if op == "*" else Div(e, rhs)
         return e
 
     def unary(self):
-        if self.peek()[:2] == ("OP", "-"):
+        if self.at("-"):
             self.enter(self.next()[2])
             e = Neg(self.unary())
             self.depth -= 1
@@ -232,10 +240,10 @@ class _Parser:
 
     def factor(self):
         a = self.atom()
-        if self.peek()[:2] == ("OP", "^"):
+        if self.at("^"):
             self.next()
             # the exponent's digits are counted before int() reads them
-            kind, text, offset = self.peek(self.peek()[:2] == ("OP", "-"))
+            kind, text, offset = self.peek(self.at("-"))
             digits = text.lstrip("0")
             if kind == "INT" and (len(digits) > len(str(MAX_POW_EXPONENT))
                                   or int(digits or 0) > MAX_POW_EXPONENT):
@@ -248,8 +256,8 @@ class _Parser:
         if kind == "INT":
             self.next()
             # rational literal INT/INT, unless the denominator is powered
-            if self.peek()[:2] == ("OP", "/") and self.peek(1)[0] == "INT" \
-                    and self.peek(2)[:2] != ("OP", "^"):
+            if self.at("/") and self.peek(1)[0] == "INT" \
+                    and self.peek(2)[1] != "^":
                 self.next()
                 den = self.read_int(*self.next()[1:])
                 if den == 0:
@@ -260,7 +268,7 @@ class _Parser:
             if text == "q":
                 self.next()
                 return Q()
-            fm = re.fullmatch(r"f(0*[1-9]\d*)", text)  # f_k needs k >= 1
+            fm = _F_RE.fullmatch(text)
             if fm:
                 self.next()
                 return F(self.read_int(fm.group(1), offset))
@@ -322,14 +330,14 @@ class _Parser:
 
     def signed_monomial(self) -> SignedMonomial:
         sign = 1
-        if self.peek()[:2] == ("OP", "-"):
+        if self.at("-"):
             self.next()
             sign = -1
-        if self.peek()[:2] != ("NAME", "q"):
+        if not self.at("q"):
             self.error({"'q'", "'-q'"})
         self.next()
         exp = 1
-        if self.peek()[:2] == ("OP", "^"):
+        if self.at("^"):
             self.next()
             exp = self.expect_int()
         return SignedMonomial(sign, exp)

@@ -18,16 +18,19 @@ All coefficient arithmetic is exact.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 
 from .errors import NotInvertibleError, QidError, TruncationError
 from .record import Record
 
-# Below this many nonzeros schoolbook convolution beats big-integer packing.
-_SMALL_CONV = 16
+# Up to this many nonzeros schoolbook convolution beats big-integer packing:
+# with the packing in C the two cross near 8 nonzeros at 50-200 terms.
+_SMALL_CONV = 8
 
 #: Largest order any step of an evaluation works at: eight times the
 #: largest order the CLI accepts (engine.MAX_ORDER, 1000).  EXTRACT(e, m, r)
@@ -91,28 +94,78 @@ def _offsets(width: int, n: int) -> int:
     return int.from_bytes((b"\x00" * (width - 1) + b"\x80") * n, "little")
 
 
+# byte maps for bytes.translate: flip the top bit; the sign-extension byte
+# of a two's complement top byte; the same for an offset digit's top byte,
+# whose top bit is set when the value is nonnegative
+_FLIP = bytes(b ^ 0x80 for b in range(256))
+_SIGN = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+_OFFSET_SIGN = bytes(0 if b & 0x80 else 0xFF for b in range(256))
+
+
+def _int64(x) -> array:
+    """array("q", x), its items stored little-endian whatever the host."""
+    a = array("q", x)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a
+
+
 def _pack(coeffs, width: int, half: int) -> int:
     """sum coeffs[i] * 256^(width*i), for |coeffs[i]| < half = 2^(8*width-1).
 
     Each coefficient is written as the offset digit c + half, which lies in
     [0, 2*half); one `int.from_bytes` reads them all and one subtraction of
-    the offsets restores the signed value.
+    the offsets restores the signed value.  When every coefficient fits a
+    signed 64-bit int the digits are built by the byte: the low width
+    bytes of each two's complement int64 go in by strided slices, and
+    bytes.translate writes the sign-extension bytes above 8 and flips each
+    digit's top bit (adding half).  Only a coefficient beyond 64 bits sends
+    the call to one `to_bytes` per coefficient.
     """
-    digits = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-    return int.from_bytes(digits, "little") - _offsets(width, len(coeffs))
+    n = len(coeffs)
+    try:
+        raw = _int64(coeffs).tobytes()
+    except OverflowError:
+        digits = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    else:
+        digits = bytearray(width * n)
+        for j in range(min(width - 1, 8)):
+            digits[j::width] = raw[j::8]
+        top = raw[min(width, 8) - 1::8]
+        if width > 8:
+            ext = top.translate(_SIGN)
+            for j in range(8, width - 1):
+                digits[j::width] = ext
+            top = ext
+        digits[width - 1::width] = top.translate(_FLIP)
+    return int.from_bytes(digits, "little") - _offsets(width, n)
 
 
 def _unpack(x: int, width: int, half: int, n: int) -> list[int]:
     """The n lowest signed digits of x in base 256^width, each of absolute
     value < half.  Adding half to every digit makes all of them
     nonnegative, so no carry crosses a digit boundary and the bytes of the
-    sum can be cut apart directly."""
+    sum can be cut apart directly.  Digits of at most 8 bytes are widened
+    to int64s by the byte (the top bit flipped back, sign-extension bytes
+    by bytes.translate) and read by one array; wider digits are read one
+    `from_bytes` per coefficient."""
     nbytes = width * n
     low = (x + _offsets(width, n)) & ((1 << (8 * nbytes)) - 1)
     raw = low.to_bytes(nbytes, "little")
-    from_bytes = int.from_bytes
-    return [from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, nbytes, width)]
+    if width > 8:
+        from_bytes = int.from_bytes
+        return [from_bytes(raw[i:i + width], "little") - half
+                for i in range(0, nbytes, width)]
+    words = bytearray(8 * n)
+    for j in range(width - 1):
+        words[j::8] = raw[j::width]
+    top = raw[width - 1::width]
+    words[width - 1::8] = top.translate(_FLIP)
+    if width < 8:
+        ext = top.translate(_OFFSET_SIGN)
+        for j in range(width, 8):
+            words[j::8] = ext
+    return _int64(words).tolist()
 
 
 def _convolve_int(a, b, n_out: int) -> list[int]:
@@ -122,8 +175,10 @@ def _convolve_int(a, b, n_out: int) -> list[int]:
     multiplication via multipoint Kronecker substitution", 2009): both
     lists are packed into one big integer each with byte-aligned digits
     wide enough for every product coefficient, so the cost is one big-int
-    multiply plus linear packing.  Below _SMALL_CONV nonzeros in either
-    operand a row-wise schoolbook product is used instead.
+    multiply plus packing and unpacking, which run as a few byte-slice
+    copies in C when every coefficient and digit fits 64 bits (see _pack
+    and _unpack).  Up to _SMALL_CONV nonzeros in either operand a row-wise
+    schoolbook product is used instead.
     """
     out = [0] * n_out
     if n_out <= 0:
@@ -328,12 +383,23 @@ class TruncatedLaurentSeries(Record):
 
     def invert(self) -> "TruncatedLaurentSeries":
         """Inverse b with self*b = 1 + O(q^(M+1)), M = order - 2e, where
-        c*q^e is the lowest nonzero term of self."""
+        c*q^e is the lowest nonzero term of self.
+
+        When the unit part u = self / (c*q^e) is a series in q^g, g > 1 (g
+        the gcd of the exponents of its nonzero terms), so is its inverse:
+        Newton runs on u with q^g read as q, g times shorter, and the
+        result is spread back to every g-th exponent."""
         e = self.lowest_nonzero()
         if e is None:
             raise NotInvertibleError("not invertible at this truncation: all-zero window")
         unit = self.coeffs[e - self.min_exp :]  # power-series part, constant term nonzero
-        inv, d = _invert_int(unit, len(unit))
+        n = len(unit)
+        g = gcd(*compress(range(n), unit)) or n  # n: the constant alone
+        inv, d = _invert_int(unit[::g], -(-n // g))
+        if g > 1:
+            spread = [0] * n
+            spread[::g] = inv
+            inv = spread
         if self.den != 1:
             inv = [self.den * c for c in inv]
         return TruncatedLaurentSeries(-e, self.order - 2 * e, tuple(inv), d)

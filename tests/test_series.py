@@ -4,14 +4,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qid import (NotInvertibleError, QidError, TruncatedLaurentSeries,
                  TruncationError, compare_series, dissect_extract, eta_power,
                  series)
 from qid.qproducts import mul_one_minus
-from qid.series import MAX_LITERAL_BITS, _convolve_int
+from qid.series import MAX_LITERAL_BITS, _convolve_int, _pack, _unpack
 
 S = TruncatedLaurentSeries
 
@@ -282,6 +282,56 @@ def test_invert_refuses_a_step_above_the_limit(monkeypatch):
         u.invert()
 
 
+def test_invert_in_q_g_refused_at_the_same_limit(monkeypatch):
+    # 1 - 1024*q^2 is inverted as 1 - 1024*q on 41 terms: the same nonzero
+    # numerators, so the same refusal
+    u = S.from_terms({0: 1, 2: -1024}, 80)
+    want = S.from_terms({2 * i: 1024 ** i for i in range(41)}, 80)
+    assert u.invert() == want
+    monkeypatch.setattr(series, "MAX_INVERSE_BITS", 1000)
+    with pytest.raises(QidError, match="^a series inverse would hold about "
+                       r"\d+ bits, above the limit 1000$"):
+        u.invert()
+
+
+@given(st.lists(st.integers(-9, 9), max_size=40), st.integers(1, 9),
+       st.sampled_from((1, -1)), st.integers(0, 3), st.integers(-3, 3),
+       st.integers(1, 6), st.integers(1, 6))
+@example(tail=[], c=3, sign=-1, zeros=2, min_exp=1, den=5, g=4)  # constant only
+@settings(max_examples=100, deadline=None)
+def test_invert_commutes_with_substitute_power(tail, c, sign, zeros, min_exp,
+                                               den, g):
+    # the inverse of a series in q^g is a series in q^g: inverting after
+    # q -> q^g (Newton on the g times shorter series) equals substituting
+    # after inverting, window included
+    coeffs = [0] * zeros + [sign * c] + tail
+    s = S(min_exp, min_exp + len(coeffs) - 1, tuple(coeffs), den)
+    spread = s.substitute_power(g)
+    got, want = spread.invert(), s.invert().substitute_power(g)
+    assert got == want
+    assert (got.min_exp, got.order) == (want.min_exp, want.order)
+    prod = spread * got
+    known = min(prod.order, got.order)  # 1 + O(q^(known+1))
+    assert prod.truncate(known) == S.one(known)
+
+
+def test_invert_runs_newton_in_q_g(monkeypatch):
+    lengths = []
+    invert_int = series._invert_int
+
+    def recording(u, n_out):
+        lengths.append(n_out)
+        return invert_int(u, n_out)
+
+    monkeypatch.setattr(series, "_invert_int", recording)
+    f2_cubed = S.from_terms({0: 1, 2: -3, 4: 3, 6: -1}, 200)  # (1 - q^2)^3
+    f2_cubed.invert()
+    S.from_terms({0: 1, 1: -1}, 200).invert()  # a series in q
+    S.from_terms({3: 2, 7: -1}, 40).invert()  # 2*q^3*(1 - q^4/2)
+    S.from_terms({0: 7}, 30).invert()  # the constant alone
+    assert lengths == [101, 201, 10, 1]
+
+
 # -- integer kernel and (numerators, den) representation --------------------
 
 def schoolbook(a, b, n_out):
@@ -322,7 +372,7 @@ def test_convolve_int_matches_schoolbook(a, b, n_out):
     assert _convolve_int(a, b, n_out) == schoolbook(a, b, n_out)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 8])
+@pytest.mark.parametrize("width", range(1, 11))
 @pytest.mark.parametrize("delta", [-1, 0])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_convolve_int_at_digit_bound(width, delta, sign):
@@ -335,6 +385,63 @@ def test_convolve_int_at_digit_bound(width, delta, sign):
     b = [-m] * 32
     assert _convolve_int(a, b, 63) == schoolbook(a, b, 63)
     assert _convolve_int(a, a, 63) == schoolbook(a, a, 63)
+
+
+INT64_EDGES = [2 ** 63 - 1, -(2 ** 63 - 1), -(2 ** 63), 2 ** 63]
+
+
+@pytest.mark.parametrize("edge", INT64_EDGES)
+def test_convolve_int_at_int64_edges(edge):
+    # the edges of a signed 64-bit int among small coefficients: 2^63 sends
+    # _pack to one digit per coefficient, the others pack as int64s
+    a = [edge, 1, -1, 0, 3] * 6
+    b = [-5, 2, 0, 7, -1] * 6 + [edge]
+    assert _convolve_int(a, b, 40) == schoolbook(a, b, 40)
+    assert _convolve_int(a, a, 40) == schoolbook(a, a, 40)
+    assert _convolve_int(INT64_EDGES * 5, b, 45) == schoolbook(
+        INT64_EDGES * 5, b, 45)
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_pack_unpack_round_trip(width):
+    half = 2 ** (8 * width - 1)
+    small = [0, 1, -1, 127, -128, 2 ** 62, -(2 ** 63)]
+    for coeffs in ([half - 1, -(half - 1), 0, 1 - half, half - 1],
+                   [c for c in small if abs(c) < half] * 3, [1 - half]):
+        x = _pack(coeffs, width, half)
+        assert x == sum(c * 256 ** (width * i) for i, c in enumerate(coeffs))
+        assert _unpack(x, width, half, len(coeffs)) == coeffs
+
+
+def per_coefficient_runs(monkeypatch, a, b, n_out):
+    """(calls of _pack and _unpack, how many of them ran one coefficient at
+    a time) while _convolve_int(a, b, n_out) runs: a call whose digits are
+    built as int64s makes exactly one _int64 call that returns."""
+    calls = [0, 0]
+
+    def counted(f, i):
+        def wrapper(*args):
+            out = f(*args)  # a raising _int64 call is not counted
+            calls[i] += 1
+            return out
+        return wrapper
+
+    monkeypatch.setattr(series, "_pack", counted(series._pack, 0))
+    monkeypatch.setattr(series, "_unpack", counted(series._unpack, 0))
+    monkeypatch.setattr(series, "_int64", counted(series._int64, 1))
+    assert _convolve_int(a, b, n_out) == schoolbook(a, b, n_out)
+    monkeypatch.undo()
+    return calls[0], calls[0] - calls[1]
+
+
+def test_pack_regimes(monkeypatch):
+    small = [(-1) ** i * (i * 997 % 1000) for i in range(40)]
+    big = [c * 2 ** 70 + 1 for c in small]
+    # every coefficient and digit within 64 bits: no per-coefficient pass
+    assert per_coefficient_runs(monkeypatch, small, small[::-1], 60) == (3, 0)
+    # beyond 64 bits: one per call, for each pack and the wide unpack
+    assert per_coefficient_runs(monkeypatch, big, big[::-1], 60) == (3, 3)
+    assert per_coefficient_runs(monkeypatch, big, small, 60) == (3, 2)
 
 
 frac_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
