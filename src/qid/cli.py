@@ -69,11 +69,13 @@ def _print_outcome(name, out):
     if out.compared_order >= 0:
         line += f" (order {out.compared_order})"
     print(line)
+    head = None
     if out.first_mismatch is not None:
         e, lhs, rhs = out.first_mismatch
-        print(f"  first mismatch at q^{e}: lhs={fraction_str(lhs)} "
-              f"rhs={fraction_str(rhs)}")
-    if out.message and out.status != "pass":
+        head = f"first mismatch at q^{e}"
+        print(f"  {head}: lhs={fraction_str(lhs)} rhs={fraction_str(rhs)}")
+    # an identity's message is the mismatch line's head: printed once
+    if out.message and out.status != "pass" and out.message != head:
         print(f"  {out.message}")
 
 

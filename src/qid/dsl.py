@@ -7,7 +7,7 @@ Grammar (whitespace-insensitive, left-associative binaries, ^ > */ > +-):
     unary  := "-" unary | factor
     factor := atom ("^" int)?     (|int| <= MAX_POW_EXPONENT, 2^63 - 1)
     atom   := rat | "q" | "f" INT | "(" expr ")" | call
-    call   := NAME "(" args ")"   with NAME in {AL, J, P, MT, EXTRACT, SUBST}
+    call   := NAME "(" arg ("," arg)* ")"   (NAME and its args: CALLS)
     rat    := INT ("/" INT)?      (the "/" is folded into the literal only
                                    when the denominator is not itself raised
                                    to a power, so 8/4^2 means 8/(4^2))
@@ -18,6 +18,8 @@ An integer other than a power exponent has at most 4300 digits after its
 leading zeros (outcome.max_digits: fewer where the interpreter's own
 limit is lower), counted before it is read.
 
+CALLS is the one description of the calls: each node class in it lists
+the kind of each argument, for the parser, print_expr and tree walks.
 AL(x, base, z) is the Appell-Lerch sum m(x, q^base, z); J(z, base) is
 j(z;q^base); P(a, step, n) the finite Pochhammer product; MT(sel) a mock
 theta series; EXTRACT(e, m, r), 0 <= r < m, residue-class dissection;
@@ -85,35 +87,60 @@ class Pow(Record):
             raise ValueError(_EXPONENT_ERROR)
 
 
-class AL(Record):
+# The kinds of call argument; an EXPR argument is a child node.
+EXPR, INT, MONO, SEL = ("expression", "integer", "signed monomial",
+                        "mock-theta selector")
+
+
+class Call(Record):
+    """A call node: name is how the DSL spells it, kinds the kind of each
+    field in order."""
+
+    __slots__ = ()
+
+    def operands(self) -> tuple:
+        """The arguments that are expressions, in order."""
+        return tuple([a for kind, a in zip(self.kinds, self._astuple())
+                      if kind is EXPR])
+
+
+class AL(Call):
     __slots__ = __match_args__ = ("x", "base", "z")
+    name, kinds = "AL", (MONO, INT, MONO)
 
 
-class J(Record):
+class J(Call):
     __slots__ = __match_args__ = ("z", "base")
+    name, kinds = "J", (MONO, INT)
 
 
-class P(Record):
+class P(Call):
     __slots__ = __match_args__ = ("a", "step", "n")
+    name, kinds = "P", (MONO, INT, INT)
 
 
-class MT(Record):
+class MT(Call):
     __slots__ = __match_args__ = ("sel",)
+    name, kinds = "MT", (SEL,)
 
 
-class Extract(Record):
+class Extract(Call):
     __slots__ = __match_args__ = ("expr", "m", "r")
+    name, kinds = "EXTRACT", (EXPR, INT, INT)
 
 
-class Subst(Record):
+class Subst(Call):
     __slots__ = __match_args__ = ("expr", "m")
+    name, kinds = "SUBST", (EXPR, INT)
 
     def _check(self):
         if self.m < 1:
             raise ValueError(f"SUBST power {self.m} is not positive")
 
 
-CALL_NAMES = ("AL", "J", "P", "MT", "EXTRACT", "SUBST")
+#: The one description of the DSL calls: each name and its node class.  A
+#: new call is a Call subclass listed here and an engine._eval case.
+CALLS = {c.name: c for c in (AL, J, P, MT, Extract, Subst)}
 
 #: Deepest nesting of parentheses, call arguments and unary minus the
 #: parser accepts.  Every walk over a tree recurses at most a few frames
@@ -272,9 +299,9 @@ class _Parser:
             if fm:
                 self.next()
                 return F(self.read_int(fm.group(1), offset))
-            if text in CALL_NAMES:
+            if text in CALLS:
                 return self.call()
-            self.error({"'q'", "'f<k>'", *(f"'{n}'" for n in CALL_NAMES)})
+            self.error({"'q'", "'f<k>'", *(f"'{n}'" for n in CALLS)})
         if kind == "OP" and text == "(":
             self.next()
             e = self.expr()
@@ -283,50 +310,22 @@ class _Parser:
         self.error({"number", "'q'", "'f<k>'", "'('", "call"})
 
     def call(self):
-        name = self.next()[1]
+        cls = CALLS[self.next()[1]]
         self.expect_op("(")
-        if name == "AL":
-            x = self.signed_monomial()
-            self.expect_op(",")
-            base = self.expect_int()
-            self.expect_op(",")
-            z = self.signed_monomial()
-            node = AL(x, base, z)
-        elif name == "J":
-            z = self.signed_monomial()
-            self.expect_op(",")
-            node = J(z, self.expect_int())
-        elif name == "P":
-            a = self.signed_monomial()
-            self.expect_op(",")
-            step = self.expect_int()
-            self.expect_op(",")
-            node = P(a, step, self.expect_int())
-        elif name == "MT":
-            kind, sel, _ = self.peek()
-            if kind != "NAME" or sel not in SELECTORS:
-                self.error({f"'{s}'" for s in SELECTORS})
-            self.next()
-            node = MT(sel)
-        elif name == "EXTRACT":
-            e = self.expr()
-            self.expect_op(",")
-            m = self.expect_int()
-            self.expect_op(",")
-            r = self.expect_int()
-            if not 0 <= r < m:
-                self.fail(f"EXTRACT residue {r} not in [0, {m})",
-                          self.peek()[2])
-            node = Extract(e, m, r)
-        else:  # SUBST
-            e = self.expr()
-            self.expect_op(",")
-            offset, m = self.peek()[2], self.expect_int()
-            if m < 1:
-                self.fail(f"SUBST power {m} is not positive", offset)
-            node = Subst(e, m)
+        args = []
+        for kind in cls.kinds:
+            if args:
+                self.expect_op(",")
+            start = self.i
+            args.append(_READERS[kind](self))
+        if cls is Extract and not 0 <= args[2] < args[1]:
+            self.fail(f"EXTRACT residue {args[2]} not in [0, {args[1]})",
+                      self.peek()[2])
+        if cls is Subst and args[1] < 1:
+            self.fail(f"SUBST power {args[1]} is not positive",
+                      self.toks[start][2])
         self.expect_op(")")
-        return node
+        return cls(*args)
 
     def signed_monomial(self) -> SignedMonomial:
         sign = 1
@@ -341,6 +340,15 @@ class _Parser:
             self.next()
             exp = self.expect_int()
         return SignedMonomial(sign, exp)
+
+    def selector(self) -> str:
+        if self.peek()[1] not in SELECTORS:
+            self.error({f"'{s}'" for s in SELECTORS})
+        return self.next()[1]
+
+
+_READERS = {EXPR: _Parser.expr, INT: _Parser.expect_int,
+            MONO: _Parser.signed_monomial, SEL: _Parser.selector}
 
 
 def parse(src: str):
@@ -388,16 +396,8 @@ def print_expr(e) -> str:
             return f"({print_expr(a)})^{n}"
         case Pow(a, n):
             return f"{print_expr(a)}^{n}"
-        case AL(x, base, z):
-            return f"AL({x}, {base}, {z})"
-        case J(z, base):
-            return f"J({z}, {base})"
-        case P(a, step, n):
-            return f"P({a}, {step}, {n})"
-        case MT(sel):
-            return f"MT({sel})"
-        case Extract(inner, m, r):
-            return f"EXTRACT({print_expr(inner)}, {m}, {r})"
-        case Subst(inner, m):
-            return f"SUBST({print_expr(inner)}, {m})"
+        case Call():
+            args = [print_expr(a) if kind is EXPR else str(a)
+                    for kind, a in zip(e.kinds, e._astuple())]
+            return f"{e.name}({', '.join(args)})"
     raise TypeError(f"not an expression node: {e!r}")

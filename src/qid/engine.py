@@ -166,8 +166,8 @@ def _children(node) -> tuple:
         return (node.base,)
     if kind is dsl.Neg:
         return (node.operand,)
-    if kind is dsl.Extract or kind is dsl.Subst:
-        return (node.expr,)
+    if isinstance(node, dsl.Call):
+        return node.operands()
     return ()
 
 

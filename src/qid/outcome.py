@@ -21,10 +21,6 @@ class VerificationOutcome(Record):
         if (self.status == "fail") != (self.first_mismatch is not None):
             raise ValueError("first_mismatch must be present exactly when status is 'fail'")
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
-
 
 def _numerators(s: TruncatedLaurentSeries, lo: int, hi: int) -> list[int]:
     """Numerators over s.den of the coefficients of q^lo .. q^hi, for
@@ -33,8 +29,8 @@ def _numerators(s: TruncatedLaurentSeries, lo: int, hi: int) -> list[int]:
     return [0] * lead + list(s.coeffs[: max(0, hi - s.min_exp + 1)])
 
 
-def compare_series(lhs: TruncatedLaurentSeries, rhs: TruncatedLaurentSeries,
-                   message: str = "") -> VerificationOutcome:
+def compare_series(lhs: TruncatedLaurentSeries,
+                   rhs: TruncatedLaurentSeries) -> VerificationOutcome:
     """Compare on the overlap of determined windows, reporting the compared order."""
     compared = min(lhs.order, rhs.order)
     lo = min(lhs.min_exp, rhs.min_exp)
@@ -47,8 +43,8 @@ def compare_series(lhs: TruncatedLaurentSeries, rhs: TruncatedLaurentSeries,
         e = lo + next(i for i, (cl, cr) in enumerate(zip(left, right)) if cl != cr)
         return VerificationOutcome("fail", compared,
                                    (e, lhs.coefficient(e), rhs.coefficient(e)),
-                                   message or f"first mismatch at q^{e}")
-    return VerificationOutcome("pass", compared, None, message)
+                                   f"first mismatch at q^{e}")
+    return VerificationOutcome("pass", compared)
 
 
 #: the most decimal digits int_str writes out and the DSL reads; CPython's

@@ -363,14 +363,54 @@ def test_huge_coefficients_print_as_placeholders(capsys):
     assert out.splitlines() == [
         "adhoc: fail (order 50)",
         "  first mismatch at q^0: lhs=<integer of 20001 bits> "
-        "rhs=-<integer of 20001 bits>/3",
-        "  first mismatch at q^0"]
+        "rhs=-<integer of 20001 bits>/3"]
 
     code, out, err = run(capsys, *argv, "--json")
     assert (code, err) == (1, "")
     assert json.loads(out)[0]["first_mismatch"] == {
         "exponent": 0, "lhs": "<integer of 20001 bits>/1",
         "rhs": "-<integer of 20001 bits>/3"}
+
+
+def test_failure_lines_print_once(tmp_path, capsys):
+    # an identity's message is its mismatch line's head and is not printed
+    # again; a congruence's or a parity record's message and an error's
+    # reason add to what the verdict line says and are printed
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps({"records": [
+        {"id": "i", "tier": "core", "lhs": "1+q", "rhs": "1+2*q",
+         "order": 5},
+        {"id": "c", "tier": "core", "kind": "congruence", "series": "B1",
+         "step": 4, "residue": 1, "modulus": 7, "count": 5},
+        {"id": "p", "tier": "core", "kind": "parity", "series": "A1",
+         "count": 10},
+        {"id": "e", "tier": "core", "lhs": "EXTRACT(f1, 3, 3)", "rhs": "1",
+         "order": 5}]}))
+    code, out, err = run(capsys, "verify", "i", "c", "p", "e",
+                         "--registry", str(reg))
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "c: fail (order 17)",
+        "  first mismatch at q^1: lhs=2 rhs=0",
+        "  coefficient(1) = 2 is not 0 mod 7",
+        "e: error",
+        "  EXTRACT residue 3 not in [0, 3) at line 1, column 17",
+        "i: fail (order 5)",
+        "  first mismatch at q^1: lhs=1 rhs=2",
+        "p: fail (order 9)",
+        "  first mismatch at q^0: lhs=0 rhs=1",
+        "  parity of coefficient(0) breaks the characterization"]
+
+    code, out, _ = run(capsys, "verify", "i", "--registry", str(reg),
+                       "--json")
+    assert json.loads(out)[0]["message"] == "first mismatch at q^1"
+
+    code, out, _ = run(capsys, "suite", "--tier", "background")
+    assert out.splitlines()[:4] == [
+        "[background] chan-mao-b4n1: fail (order 100)",
+        "  first mismatch at q^1: lhs=14 rhs=18",
+        "[background] chan-mao-b4n2: fail (order 100)",
+        "  first mismatch at q^0: lhs=4 rhs=2"]
 
 
 def test_series_products_are_bounded(capsys):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from qid import ParseError, SignedMonomial, load_registry
 from qid.dsl import (AL, MAX_NESTING, MT, Add, Div, Extract, F, J, Lit, Mul,
-                     Neg, Pow, Q, Sub, parse, print_expr)
+                     Neg, P, Pow, Q, Sub, Subst, parse, print_expr)
+from qid.mock_theta import SELECTORS
 
 
 def test_eta_quotient_ast():
@@ -73,6 +74,8 @@ def test_error_location_and_expectation():
 _CALLS = ("'AL'", "'EXTRACT'", "'J'", "'MT'", "'P'", "'SUBST'")
 _ATOM = ("'('", "'f<k>'", "'q'", "call", "number")
 _END = ("end of input", "operator")
+_MONO = ("'-q'", "'q'")
+_SEL = ("'A1'", "'A2'", "'B1'", "'B2'", "'MU2'")
 
 
 # (source, message, line, column, expected): an end-of-input error sits one
@@ -89,7 +92,7 @@ _END = ("end of input", "operator")
     ("EXTRACT(f1, 3, 5)", "EXTRACT residue 5 not in [0, 3) at line 1, column 17",
      1, 17, ()),
     ("MT(Z9)", "unexpected 'Z9' at line 1, column 4 (expected 'A1', 'A2', "
-     "'B1', 'B2', 'MU2')", 1, 4, ("'A1'", "'A2'", "'B1'", "'B2'", "'MU2'")),
+     "'B1', 'B2', 'MU2')", 1, 4, _SEL),
     ("1/0", "zero denominator in rational literal at line 1, column 1",
      1, 1, ()),
     ("@", "unexpected character '@' at line 1, column 1", 1, 1, ()),
@@ -136,6 +139,44 @@ _END = ("end of input", "operator")
     ("f1 +\n  f00", "unexpected 'f00' at line 2, column 3 (expected 'AL', "
      "'EXTRACT', 'J', 'MT', 'P', 'SUBST', 'f<k>', 'q')",
      2, 3, _CALLS + ("'f<k>'", "'q'")),
+    # a malformed argument at each position of each call, one too few and
+    # one too many
+    ("AL(1, 2, q)", "unexpected '1' at line 1, column 4 (expected '-q', 'q')",
+     1, 4, _MONO),
+    ("AL(q, q, q)", "unexpected 'q' at line 1, column 7 (expected integer)",
+     1, 7, ("integer",)),
+    ("AL(q, 2, q", "unexpected 'end of input' at line 1, column 11 (expected "
+     "')')", 1, 11, ("')'",)),
+    ("J(2, 3)", "unexpected '2' at line 1, column 3 (expected '-q', 'q')",
+     1, 3, _MONO),
+    ("J(q, q)", "unexpected 'q' at line 1, column 6 (expected integer)",
+     1, 6, ("integer",)),
+    ("J(q, 2, 3)", "unexpected ',' at line 1, column 7 (expected ')')",
+     1, 7, ("')'",)),
+    ("P(f1, 1, 2)", "unexpected 'f1' at line 1, column 3 (expected '-q', "
+     "'q')", 1, 3, _MONO),
+    ("P(q, -, 2)", "unexpected ',' at line 1, column 7 (expected integer)",
+     1, 7, ("integer",)),
+    ("P(q, 1, q)", "unexpected 'q' at line 1, column 9 (expected integer)",
+     1, 9, ("integer",)),
+    ("MT(q^2)", "unexpected 'q' at line 1, column 4 (expected 'A1', 'A2', "
+     "'B1', 'B2', 'MU2')", 1, 4, _SEL),
+    ("MT(A1, 2)", "unexpected ',' at line 1, column 6 (expected ')')",
+     1, 6, ("')'",)),
+    ("EXTRACT(, 3, 1)", "unexpected ',' at line 1, column 9 (expected '(', "
+     "'f<k>', 'q', call, number)", 1, 9, _ATOM),
+    ("EXTRACT(f1, q, 1)", "unexpected 'q' at line 1, column 13 (expected "
+     "integer)", 1, 13, ("integer",)),
+    ("EXTRACT(f1, 3, )", "unexpected ')' at line 1, column 16 (expected "
+     "integer)", 1, 16, ("integer",)),
+    ("EXTRACT(f1 3, 1)", "unexpected '3' at line 1, column 12 (expected ',')",
+     1, 12, ("','",)),
+    ("SUBST(, 2)", "unexpected ',' at line 1, column 7 (expected '(', "
+     "'f<k>', 'q', call, number)", 1, 7, _ATOM),
+    ("SUBST(f1, f1)", "unexpected 'f1' at line 1, column 11 (expected "
+     "integer)", 1, 11, ("integer",)),
+    ("SUBST(f1)", "unexpected ')' at line 1, column 9 (expected ',')",
+     1, 9, ("','",)),
 ])
 def test_error_report_pinned(src, message, line, column, expected):
     with pytest.raises(ParseError) as info:
@@ -165,6 +206,38 @@ def test_round_trip_registry():
                 continue
             ast = parse(src)
             assert parse(print_expr(ast)) == ast, rec.id
+
+
+# every call, its arguments drawn without reading dsl.CALLS: integers of
+# either sign, signed monomials with exponents 0 and 1 among the rest, and
+# EXTRACT and SUBST nested in each other
+_monomials = st.builds(SignedMonomial, st.sampled_from((1, -1)),
+                       st.integers(-3, 3))
+_call_args = st.integers(-30, 30)
+
+
+@st.composite
+def _extracts(draw, inner):
+    m = draw(st.integers(1, 9))
+    return Extract(draw(inner), m, draw(st.integers(0, m - 1)))
+
+
+_calls = st.recursive(st.one_of(
+    st.builds(AL, _monomials, _call_args, _monomials),
+    st.builds(J, _monomials, _call_args),
+    st.builds(P, _monomials, _call_args, _call_args),
+    st.sampled_from(SELECTORS).map(MT)), lambda inner: st.one_of(
+        _extracts(inner), st.builds(Subst, inner, st.integers(1, 9)),
+        st.builds(Mul, inner, inner)), max_leaves=6)
+
+
+@given(_calls)
+@example(AL(SignedMonomial(-1, 0), -4, SignedMonomial(1, 1)))
+@example(P(SignedMonomial(-1, 1), 0, -1))
+@example(Subst(Extract(Subst(J(SignedMonomial(1, -2), -3), 1), 2, 1), 5))
+@settings(max_examples=300, deadline=None)
+def test_calls_round_trip(node):
+    assert parse(print_expr(node)) == node
 
 
 def test_nesting_bound():
