@@ -321,11 +321,12 @@ class _Parser:
         if cls is Extract and not 0 <= args[2] < args[1]:
             self.fail(f"EXTRACT residue {args[2]} not in [0, {args[1]})",
                       self.peek()[2])
-        if cls is Subst and args[1] < 1:
-            self.fail(f"SUBST power {args[1]} is not positive",
-                      self.toks[start][2])
+        try:
+            node = cls(*args)
+        except ValueError as exc:  # a rule of the node, on its last argument
+            self.fail(str(exc), self.toks[start][2])
         self.expect_op(")")
-        return cls(*args)
+        return node
 
     def signed_monomial(self) -> SignedMonomial:
         sign = 1

@@ -26,8 +26,9 @@ from .dissection import dissect_extract
 from .errors import NotInvertibleError, QidError
 from .mock_theta import mock_theta_series
 from .outcome import VerificationOutcome, compare_series, int_str
-from .qproducts import (EtaExpression, SignedMonomial, eta_expression,
-                        eta_expression_eval, pochhammer_finite, theta_j)
+from .qproducts import (EtaExpression, EtaMonomial, SignedMonomial,
+                        eta_expression, eta_expression_eval,
+                        eta_expression_vanishes, pochhammer_finite, theta_j)
 from .record import Record
 from .series import (MAX_INVERSE_BITS, MAX_LITERAL_BITS,
                      TruncatedLaurentSeries, check_bits, check_work_order,
@@ -67,7 +68,7 @@ def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
         form = eta_expression(_terms(e, forms))
         # through its lowest term at least, so that a divisor above q^n is
         # not all zero
-        low = min((t.qpow for t in form.terms if t.num), default=0)
+        low = min((t.qpow for t in form.terms), default=0)
         check_work_order(n - low)
         return eta_expression_eval(form, max(n, low))
     if type(e) in _COMBINE:
@@ -105,13 +106,14 @@ def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def eval_expr(e, order: int) -> TruncatedLaurentSeries:
+def eval_expr(e, order: int, forms: dict | None = None) -> TruncatedLaurentSeries:
     """Evaluate to at least the requested truncation order.
 
     Every subtree that is an eta quotient (see expr_to_eta) goes to
     qproducts.eta_expression_eval as one normal form, which is exact
     through the order it is asked for; one pass of _eta_forms finds them
-    all before the first round.  Elsewhere, inner divisions and
+    all before the first round, unless the caller passes forms, the map
+    _eta_forms made of a tree that holds e.  Elsewhere, inner divisions and
     Laurent factors can lose order; the loss is a fixed structural
     constant of the expression, so re-evaluating with the measured deficit
     as padding converges in a couple of rounds.  A divisor that is zero
@@ -126,7 +128,8 @@ def eval_expr(e, order: int) -> TruncatedLaurentSeries:
     if order < 0:
         raise ValueError("order must be nonnegative")
     pad = 0
-    forms = _eta_forms(e)
+    if forms is None:
+        forms = _eta_forms(e)
     for _ in range(10):
         try:
             s = _eval(e, order + pad, forms)
@@ -156,6 +159,15 @@ class _Rejected(Record):
 def _reciprocal(c):
     """1/c for a nonzero int or Fraction c; an int stays one when c is +-1."""
     return c if c == 1 or c == -1 else Fraction(1, c)
+
+
+def _times(a: dict, b: dict, sign: int) -> dict:
+    """The exponent map {k: e} of a product (sign 1) or quotient (sign -1)
+    of eta quotients with exponent maps a and b."""
+    ex = dict(a)
+    for k, v in b.items():
+        ex[k] = ex.get(k, 0) + sign * v
+    return ex
 
 
 def _children(node) -> tuple:
@@ -201,15 +213,10 @@ def _eta_forms(root) -> dict:
                 mono = mb
             else:
                 (ca, pa, ea), (cb, pb, eb) = ma, mb
-                ex = dict(ea)
                 if kind is dsl.Mul:
-                    for k, v in eb.items():
-                        ex[k] = ex.get(k, 0) + v
-                    mono = (ca * cb, pa + pb, ex)
+                    mono = (ca * cb, pa + pb, _times(ea, eb, 1))
                 elif cb:
-                    for k, v in eb.items():
-                        ex[k] = ex.get(k, 0) - v
-                    mono = (ca * _reciprocal(cb), pa - pb, ex)
+                    mono = (ca * _reciprocal(cb), pa - pb, _times(ea, eb, -1))
                 else:
                     mono = _Rejected("division by zero", node)
             summable = mono if type(mono) is _Rejected else True
@@ -269,6 +276,123 @@ def _terms(e, forms: dict) -> list:
             c, p, ex = forms[id(node)][0]
             terms.append((c if sign > 0 else -c, p, ex))
     return terms
+
+
+def _summands(root, forms: dict) -> list | None:
+    """root as a sum of summands (c, a, {k: e}, x), each c*q^a*prod f_k^e
+    times a node x that is not an eta quotient, or x None; None when
+    some such x holds a Div or a negative power.
+
+    Eta monomials are multiplied into sums and a quotient by an eta
+    monomial into its dividend; any other node that _eta_forms finds no
+    eta quotient is an x, MT, AL, EXTRACT, SUBST, J and P among them, or
+    a sum or product of such nodes.  The summands are walked from a
+    stack, left to right, so a sum of thousands of terms needs no
+    recursion."""
+    out = []
+    stack = [(root, 1, 0, {})]
+    while stack:
+        node, c, a, ex = stack.pop()
+        kind = type(node)
+        if forms[id(node)][1] is True:
+            out += [(c * tc, a + ta, _times(ex, tex, 1), None)
+                    for tc, ta, tex in _terms(node, forms)]
+        elif kind is dsl.Add or kind is dsl.Sub:
+            stack.append((node.right, c if kind is dsl.Add else -c, a, ex))
+            stack.append((node.left, c, a, ex))
+        elif kind is dsl.Neg:
+            stack.append((node.operand, -c, a, ex))
+        elif kind is dsl.Mul and type(forms[id(node.left)][0]) is not _Rejected:
+            mc, ma, mex = forms[id(node.left)][0]
+            stack.append((node.right, c * mc, a + ma, _times(ex, mex, 1)))
+        elif kind is dsl.Mul and type(forms[id(node.right)][0]) is not _Rejected:
+            mc, ma, mex = forms[id(node.right)][0]
+            stack.append((node.left, c * mc, a + ma, _times(ex, mex, 1)))
+        elif kind is dsl.Div and type(forms[id(node.right)][0]) is not _Rejected \
+                and forms[id(node.right)][0][0]:
+            mc, ma, mex = forms[id(node.right)][0]
+            stack.append((node.left, c * _reciprocal(mc), a - ma,
+                          _times(ex, mex, -1)))
+        elif _divides(node):
+            return None
+        else:
+            out.append((c, a, ex, node))
+    return out
+
+
+def _divides(root) -> bool:
+    """Whether a Div or a negative power lies in root's tree."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is dsl.Div or type(node) is dsl.Pow and node.exp < 0:
+            return True
+        stack.extend(_children(node))
+    return False
+
+
+def _vanishes(diff, n: int, forms: dict) -> bool:
+    """Whether diff = lhs - rhs is shown to vanish through q^n by products
+    alone, with forms = _eta_forms(diff).
+
+    Let U = q^A prod_k f_k^(m_k) be the common eta denominator of diff's
+    summands (see _summands): A the least q-power, m_k the least exponent
+    of f_k or 0.  U is q^A times a unit, so diff vanishes through q^n
+    exactly when diff/U does through q^(n - A), and diff/U takes no
+    inversion: its eta terms keep nonnegative powers (one normal form),
+    and the x of each summand is evaluated through the order its q-power
+    leaves, summed with the others that share its cleared eta factor
+    F = prod_k f_k^(e_k - m_k), and multiplied by F once.  A diff that is
+    one eta-quotient sum is the sum of its normal form alone (see
+    qproducts.eta_expression_vanishes), kept under the key of the normal
+    form of lhs when rhs is 0, for a later record to read.  False when
+    diff does not vanish, when U is 1, when an x divides (an inversion
+    whose order loss and bounds the two sides report), or on an error:
+    the two sides then decide, as they alone can pin a first mismatch or
+    report an error."""
+    try:
+        if forms[id(diff)][1] is True:
+            form = eta_expression(_terms(diff, forms))
+            check_work_order(n - min((t.qpow for t in form.terms), default=0))
+            return eta_expression_vanishes(form, n)
+        summands = _summands(diff, forms)
+        if summands is None:
+            return False
+        live = [s for s in summands if s[0] or s[3] is not None]
+        low_q = min((a for _, a, _, _ in live), default=0)
+        low_f: dict[int, int] = {}
+        for _, _, ex, _ in live:
+            for k, e in ex.items():
+                low_f[k] = min(low_f.get(k, 0), e)
+        if not low_q and not any(low_f.values()):
+            return False  # nothing to clear
+        top = n - low_q
+        check_work_order(top)
+        pure, groups = [], {}
+        for c, a, ex, x in live:
+            cleared = {k: ex.get(k, 0) - m for k, m in low_f.items()}
+            if x is None:
+                pure.append((c, a - low_q, cleared))
+            else:
+                key = tuple(sorted((k, e) for k, e in cleared.items() if e))
+                groups.setdefault(key, []).append((c, a - low_q, x))
+        total = eta_expression_eval(eta_expression(pure), top)
+        for key, members in groups.items():
+            shift = min(a for _, a, _ in members)
+            g = None
+            for c, a, x in members:
+                s = eval_expr(x, max(top - a, 0), forms).scale(c).shift(a - shift)
+                g = s if g is None else g + s
+            if key:
+                f_order = max(top - shift - min(g.min_exp, 0), 0)
+                check_work_order(f_order)
+                f = eta_expression_eval(
+                    EtaExpression((EtaMonomial(1, 0, key),)), f_order)
+                g = checked_product(g, f, "a series product", MAX_INVERSE_BITS)
+            total = total + g.shift(shift)
+        return total.truncate(top).is_zero()
+    except (QidError, ValueError):
+        return False
 
 
 def expr_to_eta(e) -> EtaExpression:
@@ -419,12 +543,31 @@ def check_parity_characterization(sel: str, count: int) -> VerificationOutcome:
 
 
 def verify(rec: IdentityRecord, order: int | None = None) -> VerificationOutcome:
+    """The verdict on one record at order (its own when None).
+
+    An identity passes when lhs - rhs, one tree whose eta forms both
+    sides then share, vanishes over its common eta denominator (see
+    _vanishes), which takes no inversion of an eta quotient.  Any other
+    identity is decided by its two sides, each evaluated through the
+    order: they alone pin a first mismatch or report an error, so every
+    fail and every error reads as if the difference had not been tried."""
     try:
         if rec.kind == "identity":
             n = order if order is not None else rec.default_order
-            lhs = eval_expr(dsl.parse(rec.lhs), n)
-            rhs = eval_expr(dsl.parse(rec.rhs), n)
-            return compare_series(lhs, rhs)
+            lhs, rhs, forms = dsl.parse(rec.lhs), None, None
+            try:
+                rhs = dsl.parse(rec.rhs)
+                diff = dsl.Sub(lhs, rhs)
+                forms = _eta_forms(diff)
+            except QidError:
+                pass  # the lhs, evaluated first, may report its own error
+            else:
+                if _vanishes(diff, n, forms):
+                    return VerificationOutcome("pass", n)
+            left = eval_expr(lhs, n, forms)
+            if rhs is None:
+                rhs = dsl.parse(rec.rhs)
+            return compare_series(left, eval_expr(rhs, n, forms))
         if rec.kind == "congruence":
             return check_congruence(rec.series, rec.step, rec.residue,
                                     rec.modulus, rec.count)

@@ -7,24 +7,24 @@ Every selector is a sum over n >= 0 of
     sign^n * q^shift(n) * (a; q^2)_n / (b; q^2)_(n+k)^p
 
 with a, b signed monomials, k in {0, 1} and p in {1, 2}.  The power-series
-part T_n = (a; q^2)_n / (b; q^2)_(n+k)^p is carried from term to term:
-T_(n+1) is T_n times one numerator binomial (1 - a*q^(2n)) and divided p
-times by one denominator binomial (1 - b*q^(2(n+k))), each an exact O(N)
-pass in integers.  A division whose window holds more than d blocks of
-its divisor's exponent d is a running sum along each residue class mod
-d, a few C-level passes (see qproducts.div_one_minus).  The divisors
-grow as 2n, so that covers the first terms of each selector: at order
-500, two thirds of the coefficients that A1 and B1 divide and a third of
-MU2's (whose eps = -1 halves the reach), but a few per cent of A2's
-and B2's, whose shift(n) grows as n, not n^2, so that their many later
-terms walk the window block by block.  Term n is needed only through
-q^(order - shift(n)), so the window shrinks as n grows.  The sum starts
-at q^0 with integer numerators over den 1, which `qid coeffs` and the
-congruence and parity checks read directly.  Every summand is still the
-literal defining term, never a closed form, so this module stays the
-independent oracle the Appell-Lerch and eta-quotient representations
-are checked against.  The outer sum stops once shift(n) exceeds the
-truncation order.
+part T_n = (a; q^2)_n / (b; q^2)_(n+k)^p is carried from term to term as
+one list of integer numerators, changed in place: T_(n+1) is T_n times
+one numerator binomial (1 - a*q^(2n)), one slice-assigned map, divided
+by (1 - b*q^(2(n+k)))^p (qproducts.div_one_minus).  A division whose
+window holds more than d blocks of its divisor's exponent d is p nested
+running sums along each residue class mod d, a few C-level passes.  The
+divisors grow as 2n, so that covers the first terms of each selector: at
+order 500, two thirds of the coefficients that A1 and B1 divide and a
+third of MU2's (whose eps = -1 halves the reach), but a few per cent of
+A2's and B2's, whose shift(n) grows as n, not n^2, so that their many
+later terms walk the window block by block.  Term n is needed only
+through q^(order - shift(n)), so the list is cut (del) as n grows.  The
+sum starts at q^0 with integer numerators over den 1, which `qid coeffs`
+and the congruence and parity checks read directly.  Every summand is
+still the literal defining term, never a closed form, so this module
+stays the independent oracle the Appell-Lerch and eta-quotient
+representations are checked against.  The outer sum stops once shift(n)
+exceeds the truncation order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from operator import add, sub
 
 from .caches import kept
-from .qproducts import SignedMonomial, div_one_minus, mul_one_minus
+from .qproducts import SignedMonomial, div_one_minus
 from .series import TruncatedLaurentSeries
 
 _Q = SignedMonomial(1, 1)      # q
@@ -52,28 +52,24 @@ _FORMS = {
 SELECTORS = tuple(_FORMS)
 
 
-def _divide(t: TruncatedLaurentSeries, b: SignedMonomial, j: int, p: int) -> TruncatedLaurentSeries:
-    """t / (1 - b*q^(2j))^p."""
-    for _ in range(p):
-        t = div_one_minus(t, b.sign, b.exp + 2 * j)
-    return t
-
-
 def _summed(sel: str, order: int) -> TruncatedLaurentSeries:
     shift_of, a, b, k, p, sign = _FORMS[sel]
     total = [0] * (order + 1)
     shift = shift_of(0)
-    t = TruncatedLaurentSeries.one(order - shift)
+    t = [1] + [0] * (order - shift)  # T_0, one list from here on
     for j in range(k):
-        t = _divide(t, b, j, p)
+        div_one_minus(t, b.sign, b.exp + 2 * j, p)
+    times = sub if a.sign > 0 else add  # by the numerator's 1 - a*q^d
     n = 0
     while shift <= order:
         combine = sub if sign < 0 and n % 2 else add
-        total[shift:] = map(combine, total[shift:], t.coeffs)
+        total[shift:] = map(combine, total[shift:], t)
         shift = shift_of(n + 1)
         # T_n -> T_(n+1), on the window term n+1 needs
-        t = mul_one_minus(t.truncate(order - shift), a.sign, a.exp + 2 * n)
-        t = _divide(t, b, n + k, p)
+        del t[max(order - shift + 1, 0):]
+        d = a.exp + 2 * n
+        t[d:] = map(times, t[d:], t[:max(len(t) - d, 0)])
+        div_one_minus(t, b.sign, b.exp + 2 * (n + k), p)
         n += 1
     return TruncatedLaurentSeries(0, order, tuple(total))
 

@@ -33,7 +33,7 @@ denominator.  Fractions appear only in what is reported.
 `qid param-check ID` proves lhs - rhs of the registry identity ID zero,
 read as expr_to_eta(parse("(lhs) - (rhs)")); S0, S1, H0, H1 and R0 name
 zero-s0 ... zero-r0.  The independent numeric path for the same record is
-engine.verify, which expands both sides as series.
+engine.verify, which expands lhs - rhs as a series.
 """
 
 from __future__ import annotations

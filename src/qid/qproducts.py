@@ -3,8 +3,10 @@ expressions, and the theta function j(z;q^base) for signed-monomial z.
 
 Finite products multiply their binomials (1 - eps*q^d), d < 0 included,
 from an order raised by each negative d.  j(z;q^base) is its Jacobi
-triple product sum, O(sqrt(N)) terms through q^N, and f_1 = j(q;q^3) by
-Euler's pentagonal theorem (Andrews, The Theory of Partitions, Thm 2.8).
+triple product sum, O(sqrt(N)) terms through q^N, f_1 = j(q;q^3) by
+Euler's pentagonal theorem (Andrews, The Theory of Partitions, Thm 2.8)
+and f_1^3 by Jacobi's identity, so that f_1^6 takes one product, not
+three.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ _CACHE_STEP = 64
 
 #: Most bits one product of _f1_power may hold (see checked_product):
 #: the last product of f_1^1000 at order 1000, built through q^1024, may
-#: hold about 1.1 million.  So f_1^e is built for e up to 1247 at order
-#: 1000 and 61 at MAX_WORK_ORDER, and refused fast above.
+#: hold about 0.9 million.  So f_1^e is built for e up to 1247 at order
+#: 1000 and 65 at MAX_WORK_ORDER, and refused fast above.
 MAX_ETA_BITS = 5 * MAX_LITERAL_BITS // 2
 
 
@@ -68,31 +70,36 @@ def mul_one_minus(s: TruncatedLaurentSeries, eps: int, d: int) -> TruncatedLaure
     return TruncatedLaurentSeries(lo, order, tuple(out), s.den)
 
 
-def div_one_minus(s: TruncatedLaurentSeries, eps: int, d: int) -> TruncatedLaurentSeries:
-    """Divide s by the exact binomial (1 - eps*q^d), d >= 1.
+def div_one_minus(t: list, eps: int, d: int, p: int = 1) -> None:
+    """Divide the power series t, a list of numerators from q^0, by the
+    exact binomial (1 - eps*q^d)^p, d >= 1, p >= 1, in place.
 
     1/(1 - eps*q^d) is a power series with constant term 1, so the window
     is kept: y[i] = x[i] + eps*y[i-d].  A window of more than d blocks of
-    d (d*d < len) and eps = 1 takes one running sum along each residue
-    class mod d, d `accumulate` calls in all; any other is walked one
-    block of d at a time.  For eps = -1 a window of more than 2d blocks of
-    2d is first multiplied by 1 - q^d, since 1/(1 + q^d) =
-    (1 - q^d)/(1 - q^(2d)), and then takes running sums mod 2d."""
+    d (d*d < len) and eps = 1 takes p nested running sums along each
+    residue class mod d, d slice assignments in all; any other is walked
+    one block of d at a time, p times.  For eps = -1 a window of more than
+    2d blocks of 2d is first multiplied p times by 1 - q^d, since
+    1/(1 + q^d) = (1 - q^d)/(1 - q^(2d)), and then takes running sums mod
+    2d."""
     if d < 1:
         raise ValueError("div_one_minus needs d >= 1")
-    out = list(s.coeffs)
-    n = len(out)
+    n = len(t)
     if eps < 0 and 4 * d * d < n:
-        out[d:] = map(sub, out[d:], s.coeffs[:n - d])
+        for _ in range(p):
+            t[d:] = map(sub, t[d:], t[:n - d])
         eps, d = 1, 2 * d
     if eps > 0 and d * d < n:
         for r in range(d):
-            out[r::d] = accumulate(out[r::d])
+            column = t[r::d]
+            for _ in range(p):
+                column = accumulate(column)
+            t[r::d] = column
     else:
         combine = add if eps > 0 else sub
-        for i in range(d, n, d):
-            out[i:i + d] = map(combine, out[i:i + d], out[i - d:i])
-    return TruncatedLaurentSeries(s.min_exp, s.order, tuple(out), s.den)
+        for _ in range(p):
+            for i in range(d, n, d):
+                t[i:i + d] = map(combine, t[i:i + d], t[i - d:i])
 
 
 def pochhammer_finite(a: SignedMonomial, step: int, n: int, order: int) -> TruncatedLaurentSeries:
@@ -110,23 +117,43 @@ def pochhammer_finite(a: SignedMonomial, step: int, n: int, order: int) -> Trunc
     return s.truncate(order)
 
 
+def _jacobi_cube(order: int) -> TruncatedLaurentSeries:
+    """f_1^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2) through q^order >= 0:
+    Jacobi's identity, a limit of the triple product."""
+    coeffs = [0] * (order + 1)
+    n = 0
+    while (e := n * (n + 1) // 2) <= order:
+        coeffs[e] = -2 * n - 1 if n % 2 else 2 * n + 1
+        n += 1
+    return TruncatedLaurentSeries(0, order, tuple(coeffs))
+
+
 def _f1_power(e: int, order: int, what: str = "") -> TruncatedLaurentSeries:
     """f_1^e, e >= 1, order >= 0: f_1 is Euler's pentagonal series
-    j(q; q^3), and f_1^e is (f_1^(e//2))^2, times f_1 when e is odd, so
-    one request keeps O(log e) powers in the memo (qid.caches), each built
-    through a multiple of _CACHE_STEP so that nearby orders share it.  A
-    product that may hold more than MAX_ETA_BITS is refused before it is
-    computed; what names the power first asked for."""
+    j(q; q^3) and f_1^3 Jacobi's series, with no product.  Above them
+    f_1^e is f_1^(e - e%3) * f_1^(e%3), and f_1^(3t) is (f_1^(3(t//2)))^2,
+    times f_1^3 when t is odd, so one request keeps O(log e) powers in the
+    memo (qid.caches), each built through a multiple of _CACHE_STEP so
+    that nearby orders share it.  A product that may hold more than
+    MAX_ETA_BITS is refused before it is computed; what names the power
+    first asked for."""
     def build():
         work = -(-max(order, 1) // _CACHE_STEP) * _CACHE_STEP
         if e == 1:
             return theta_j(SignedMonomial(1, 1), 3, work)
+        if e == 3:
+            return _jacobi_cube(work)
         named = what or f"a product in the power f1^{e}"
-        half = _f1_power(e // 2, work, named)
-        s = checked_product(half, half, named, MAX_ETA_BITS)
-        if e % 2:
-            s = checked_product(s, _f1_power(1, work), named, MAX_ETA_BITS)
-        return s
+        if e % 3 == 0:
+            half = _f1_power(3 * (e // 6), work, named)
+            s = checked_product(half, half, named, MAX_ETA_BITS)
+            if e % 6:
+                s = checked_product(s, _f1_power(3, work), named, MAX_ETA_BITS)
+            return s
+        low = 1 if e == 2 else e - e % 3
+        a = _f1_power(low, work, named)
+        b = a if e == 2 else _f1_power(e - low, work, named)
+        return checked_product(a, b, named, MAX_ETA_BITS)
     return kept(("f1", e), order, build)
 
 
@@ -172,8 +199,8 @@ class EtaMonomial(Record):
 class EtaExpression(Record):
     """(sum of the EtaMonomial terms) / den, stored as a series is: integer
     numerators over one den >= 1 with gcd(den, *nums) == 1 (see
-    eta_expression).  Terms with numerator 0 are kept, so prove_zero still
-    sees their exponents; the empty sum is zero."""
+    eta_expression).  No two terms share their qpow and exponents, and no
+    numerator is 0; the empty sum is zero."""
 
     __slots__ = __match_args__ = ("terms", "den")
     _defaults = {"terms": (), "den": 1}
@@ -181,13 +208,18 @@ class EtaExpression(Record):
 
 def eta_expression(terms) -> EtaExpression:
     """Build an EtaExpression from (coeff, qpow, {k: e}) triples, coeff an
-    int or a Fraction: den is the lcm of the coefficients' denominators."""
-    terms = list(terms)
-    den = lcm(*(c.denominator for c, _, _ in terms))
+    int or a Fraction.  Like terms, with the same qpow and exponents, are
+    summed where the first of them stands, and zero sums are dropped; den
+    is the lcm of the denominators of the sums."""
+    sums: dict = {}
+    for c, p, exps in terms:
+        key = p, tuple(sorted((k, e) for k, e in exps.items() if e))
+        sums[key] = sums.get(key, 0) + c
+    sums = {key: c for key, c in sums.items() if c}
+    den = lcm(*(c.denominator for c in sums.values()))
     return EtaExpression(tuple(
-        EtaMonomial(c.numerator * (den // c.denominator), p,
-                    tuple(sorted((k, e) for k, e in exps.items() if e)))
-        for c, p, exps in terms), den)
+        EtaMonomial(c.numerator * (den // c.denominator), p, exps)
+        for (p, exps), c in sums.items()), den)
 
 
 def _eta_product(exps: dict[int, int], order: int) -> TruncatedLaurentSeries:
@@ -217,13 +249,14 @@ def eta_expression_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeri
     """sum_i c_i q^(a_i) prod_k f_k^(e_ik), exact through q^order.
 
     The one evaluator of eta quotients, through a normal form.  With
-    A = min a_i and m_k = min(0, min_i e_ik) over the nonzero terms, the
-    sum is U * sum_i c_i q^(a_i - A) prod_k f_k^(e_ik - m_k), where
+    A = min a_i and m_k = min(0, min_i e_ik) over the terms, the sum is
+    U * sum_i c_i q^(a_i - A) prod_k f_k^(e_ik - m_k), where
     U = q^A prod_k f_k^(m_k).  Every power left in the sum is nonnegative,
     so it comes from the memo of f_1 powers with small coefficients and
     needs no inversion; U's negative part costs one inversion of the
-    positive product prod_k f_k^(-m_k).  Each f_k^e has constant term 1,
-    so nothing loses order: the sum is needed through q^(order - A), and
+    positive product prod_k f_k^(-m_k), and none when the sum vanishes
+    (see eta_expression_vanishes).  Each f_k^e has constant term 1, so
+    nothing loses order: the sum is needed through q^(order - A), and
     the result is known through q^order exactly.  A request at or below
     the order of a kept value is that value, truncated (qid.caches): a
     dissection check such as E = sum_r q^r SUBST(EXTRACT(E, m, r), m)
@@ -232,12 +265,28 @@ def eta_expression_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeri
     return kept(expr, order, lambda: _normal_form_eval(expr, order))
 
 
-def _normal_form_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeries:
-    terms = [t for t in expr.terms if t.num]
+def eta_expression_vanishes(expr: EtaExpression, order: int) -> bool:
+    """Whether expr vanishes through q^order, decided on the sum of
+    eta_expression_eval's normal form, so that nothing is inverted
+    whatever the answer.  A vanishing expr is kept in the memo as zero,
+    its value: a later eta_expression_eval of it builds nothing."""
+    total, low_q, _ = _normal_form_sum(expr, order)
+    if not total.is_zero():
+        return False
+    kept(expr, order, lambda: total.shift(low_q))
+    return True
+
+
+def _normal_form_sum(expr: EtaExpression, order: int):
+    """(sum_i c_i q^(a_i - A) prod_k f_k^(e_ik - m_k) through
+    q^(order - A) in numerators, A, {k: m_k}): the normal form's sum, with
+    only nonnegative powers; zero through q^order, 0, {} when no term
+    reaches q^order."""
+    terms = expr.terms
     low_q = min((t.qpow for t in terms), default=0)
     work = order - low_q
     if work < 0 or not terms:
-        return TruncatedLaurentSeries.zero(order)
+        return TruncatedLaurentSeries.zero(order), 0, {}
     low_f: dict[int, int] = {}
     for t in terms:
         for k, e in t.exps:
@@ -251,9 +300,14 @@ def _normal_form_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeries
         s = _eta_product({k: exps.get(k, 0) - m for k, m in low_f.items()},
                          work - shift)
         total = total + s.scale(t.num).shift(shift)
+    return total, low_q, low_f
+
+
+def _normal_form_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeries:
+    total, low_q, low_f = _normal_form_sum(expr, order)
     if any(low_f.values()) and not total.is_zero():
         total = total * _eta_product(
-            {k: -m for k, m in low_f.items()}, work).invert()
+            {k: -m for k, m in low_f.items()}, total.order).invert()
     # the one division by den, together with the shift by q^low_q
     return TruncatedLaurentSeries(total.min_exp + low_q, total.order + low_q,
                                   total.coeffs, total.den * expr.den)

@@ -133,6 +133,12 @@ _SEL = ("'A1'", "'A2'", "'B1'", "'B2'", "'MU2'")
      1, 10, ()),
     ("SUBST(f1,\n -2)", "SUBST power -2 is not positive at line 2, column 2",
      2, 2, ()),
+    # the node refuses its power, reported at the argument's column, before
+    # the closing parenthesis is read
+    ("SUBST(q^2,  -00", "SUBST power 0 is not positive at line 1, column 13",
+     1, 13, ()),
+    ("SUBST(SUBST(f1, 2),\n  -7)", "SUBST power -7 is not positive at line 2, "
+     "column 3", 2, 3, ()),
     ("f0*f1", "unexpected 'f0' at line 1, column 1 (expected 'AL', "
      "'EXTRACT', 'J', 'MT', 'P', 'SUBST', 'f<k>', 'q')",
      1, 1, _CALLS + ("'f<k>'", "'q'")),

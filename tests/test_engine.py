@@ -5,12 +5,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qid import (SELECTORS, EtaExpression, IdentityRecord, QidError,
-                 SignedMonomial, check_congruence, eta_expression, eval_expr,
-                 expr_to_eta, load_registry, report_json, run_suite, verify)
+                 SignedMonomial, VerificationOutcome, check_congruence,
+                 compare_series, eta_expression, eval_expr, expr_to_eta,
+                 load_registry, report_json, run_suite, verify)
 from qid import dsl, engine, qproducts
 from qid.caches import clear_all
 from qid.dsl import parse, print_expr
@@ -423,3 +424,142 @@ def test_expr_to_eta_matches_reference(asts, data):
         assert all(type(n) is int for n in nums)
         assert got.den >= 1
         assert gcd(got.den, *nums) == 1
+
+
+# -- a pass decided on lhs - rhs over its common eta denominator -------------
+
+def two_sided(lhs: str, rhs: str, order: int):
+    """The verdict of both sides evaluated on their own, as verify reached
+    every verdict before a pass could be decided on lhs - rhs."""
+    try:
+        return compare_series(eval_expr(parse(lhs), order),
+                              eval_expr(parse(rhs), order))
+    except (QidError, ValueError) as exc:
+        return VerificationOutcome("error", -1, None, str(exc))
+
+
+def identity(lhs: str, rhs: str) -> IdentityRecord:
+    return IdentityRecord(id="t", tier="core", anchor="", lhs=lhs, rhs=rhs)
+
+
+def clears(lhs: str, rhs: str, order: int) -> bool:
+    """Whether verify decides the pass on lhs - rhs alone."""
+    diff = dsl.Sub(parse(lhs), parse(rhs))
+    return engine._vanishes(diff, order, engine._eta_forms(diff))
+
+
+_coeffs = st.sampled_from(["1", "-1", "2", "(1/2)", "(-3/4)"])
+_eta_monomials = st.builds(
+    lambda c, a, es: f"{c}*q^{a}" + "".join(
+        f"*f{k}^{e}" for k, e in zip((1, 2, 3, 4), es) if e),
+    _coeffs, st.integers(-3, 3), st.lists(st.integers(-3, 3), min_size=4,
+                                          max_size=4))
+#: factors that are no eta quotient: Laurent ones (J(q^-2, 4),
+#: P(q^-2, 1, 3)) and one that is refused (J(q^4, 4), identically zero)
+_factors = st.sampled_from([
+    "MT(B1)", "MT(A1)", "MT(MU2)", "EXTRACT(MT(B2), 2, 1)",
+    "EXTRACT(MT(A1), 3, 0)", "AL(q, 4, -q^0)", "AL(q^0, 4, q^3)",
+    "AL(-q, 4, -q^0)", "SUBST(MT(B1), 2)", "SUBST(J(-q, 2), 3)", "J(-q, 3)",
+    "J(q^-2, 4)", "P(q^-2, 1, 3)", "J(q^4, 4)"])
+
+
+@st.composite
+def _sides(draw, depth=1):
+    """A sum of eta monomials, factors times or over eta monomials, and,
+    depth levels down, an eta monomial times such a sum."""
+    kinds = ["mono*factor", "factor/mono", "mono", "factor"]
+    if depth:
+        kinds.append("mono*(side)")
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        mono, factor = draw(_eta_monomials), draw(_factors)
+        terms.append({"mono*factor": f"{mono}*{factor}",
+                      "factor/mono": f"{factor}/({mono})", "mono": mono,
+                      "factor": factor}.get(kind) or
+                     f"{mono}*({draw(_sides(depth - 1))})")
+    return " + ".join(terms)
+
+
+@st.composite
+def _identities(draw):
+    """lhs and a rhs that is another side, lhs itself, lhs plus a
+    monomial, or lhs times f1/f1."""
+    lhs = draw(_sides())
+    kind = draw(st.sampled_from(["other", "same", "plus", "f1/f1"]))
+    rhs = {"other": draw(_sides()), "same": lhs,
+           "plus": f"{lhs} + q^{draw(st.integers(-3, 30))}",
+           "f1/f1": f"({lhs})*f1/f1"}[kind]
+    return lhs, rhs
+
+
+@settings(max_examples=120, deadline=None)
+@given(_identities(), st.integers(0, 30))
+# an error of the lhs comes before a parse error or a refused literal
+# power of the rhs, as when each side was read and evaluated in turn
+@example(("J(q^4, 4)", "SUBST(q, 0)"), 5)
+@example(("J(q^4, 4)", "2^10000000000"), 5)
+@example(("MT(B1) + 2^10000000000", "SUBST(q, 0)"), 5)
+def test_cleared_pass_agrees_with_the_two_sides(ids, order):
+    lhs, rhs = ids
+    clear_all()
+    want = two_sided(lhs, rhs, order)
+    clear_all()
+    assert verify(identity(lhs, rhs), order) == want
+    if want.status == "fail":
+        assert not clears(lhs, rhs, order)
+
+
+#: the identity records whose pass is not decided on lhs - rhs: SUBST of
+#: an eta quotient divides; hm-a-appell and the *-forms-agree records
+#: have no eta denominator; chan-mao-b4n1/b4n2 do not vanish
+NOT_CLEARED = {"split-f1", "split-f2", "split-f3", "hm-a-appell",
+               "a-forms-agree", "b-forms-agree-12", "chan-mao-b4n1",
+               "chan-mao-b4n2"}
+
+
+def test_which_records_clear(registry):
+    cleared = {r.id for r in registry if r.kind == "identity"
+               and clears(r.lhs, r.rhs, r.default_order)}
+    identities = {r.id for r in registry if r.kind == "identity"}
+    assert len(identities) == 48 and len(cleared) == 40
+    assert identities - cleared == NOT_CLEARED
+
+
+def test_cleared_records_fail_where_the_two_sides_do(registry):
+    # q^k added to the rhs: the pass is not decided on lhs - rhs, and the
+    # two sides report the first mismatch at q^k
+    for rec in registry:
+        if rec.kind != "identity" or rec.id in NOT_CLEARED:
+            continue
+        order, k = 60, 41
+        rhs = f"({rec.rhs}) + q^{k}"
+        assert not clears(rec.lhs, rhs, order), rec.id
+        out = verify(identity(rec.lhs, rhs), order)
+        assert out == two_sided(rec.lhs, rhs, order), rec.id
+        assert (out.status, out.first_mismatch[0]) == ("fail", k), rec.id
+
+
+@pytest.mark.parametrize("rid", ["al-cube-a", "al-cube-b", "a-al-base36",
+                                 "b-al-base36", "mu2-al-base36",
+                                 "hm-b-appell"])
+def test_each_appell_lerch_summand_is_evaluated_once(registry, rid,
+                                                     monkeypatch):
+    rec = {r.id: r for r in registry}[rid]
+    calls = []
+    al = engine.appell_lerch_m
+    monkeypatch.setattr(engine, "appell_lerch_m",
+                        lambda *a: calls.append(a) or al(*a))
+    assert verify(rec).status == "pass"
+    assert len(calls) == (rec.lhs + rec.rhs).count("AL(")
+
+
+def test_long_sums_clear_in_loops():
+    # 2000 eta terms, and a factor so that the summands are walked rather
+    # than read as one eta sum, checked against themselves
+    terms = "".join(f" + {k}*q^{k % 7}*f{k % 5 + 1}^{k % 3 - 1}"
+                    for k in range(2000))
+    for lhs in (terms[3:], f"MT(B1)/q{terms}"):
+        assert clears(lhs, lhs, 20)
+        assert verify(identity(lhs, lhs), 20) \
+            == VerificationOutcome("pass", 20)

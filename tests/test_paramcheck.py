@@ -208,21 +208,30 @@ def test_param_check_non_uniform_output(capsys):
 
 
 def test_param_check_class_denominator_output(capsys):
-    # the classes' own denominators (6 and 14) differ from the
-    # expression's (42): the residual 15/42 - 12/42 is reported as 1/14
+    # the first class's own denominator (14) differs from the
+    # expression's (42): the residual 3/42 is reported as 1/14
     assert param_check_output(
-        capsys, "--expr", "(1/6)*f1^4 - (1/6)*f1^4 + (5/14)*q*f12^2*f2^2"
-        " - (2/7)*q*f12^2*f2^2") == (
+        capsys, "--expr", "(1/14)*q*f12^2*f2^2 - (1/6)*f1^4") == (
         1, "NotZero\n"
            "  residual polynomial: 1/14, times "
            "(p)^(1)*(1+2p)^(1/12)*(2+p)^(1/3)\n")
 
 
 def test_param_check_zero_coefficient_term(capsys):
-    # a term with coefficient 0 still counts in the exponent check
-    assert param_check_output(capsys, "--expr", "0*f2 + f1 - f1") == (
+    # like terms are summed and zero sums dropped before the exponent
+    # check: a sum that cancels term by term is the empty sum, and a term
+    # with coefficient 0 does not count
+    for expr in ("0*f2 + f1 - f1", "f2 - f2 + f1 - f1"):
+        assert param_check_output(capsys, "--expr", expr) == (
+            0, "ProvedZero\n  polynomial in p collapses to 0\n"), expr
+    assert param_check_output(capsys, "--expr", "0*f12 + f1 - f2") == (
         1, "NonUniform\n  k-exponents [1/2], q-exponents [-1/12, -1/24] "
            "are not uniform\n")
+    # 5/14 - 2/7 of one term is one term, 1/14, over the denominator 14
+    assert param_check_output(
+        capsys, "--expr", "(1/6)*f1^4 - (1/6)*f1^4 + (5/14)*q*f12^2*f2^2"
+        " - (2/7)*q*f12^2*f2^2") == (
+        1, "NotZero\n  residual polynomial: 1/14\n")
 
 
 def test_param_check_two_class_output(capsys):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qid import (QidError, SignedMonomial, ThetaVanishesError,
-                 TruncatedLaurentSeries, eta_expression, eta_expression_eval,
-                 eta_power, pochhammer_finite, qproducts, theta_j)
+from qid import (EtaExpression, EtaMonomial, QidError, SignedMonomial,
+                 ThetaVanishesError, TruncatedLaurentSeries, eta_expression,
+                 eta_expression_eval, eta_power, pochhammer_finite, qproducts,
+                 theta_j)
 from qid.caches import clear_all
 from qid.qproducts import div_one_minus, mul_one_minus
 
@@ -100,23 +101,41 @@ def may_hold(a, b):
 
 
 def test_f1_power_refuses_a_product_above_the_limit(monkeypatch):
-    # f1^3 at order 100 is built through q^128 as f1*f1, then f1^2*f1;
-    # each product is refused when it may hold more than the limit
+    # at order 100, built through q^128: f1^3 is Jacobi's series, with no
+    # product; f1^6 is f1^3*f1^3 and f1^7 is f1^6*f1; each product is
+    # refused when it may hold more than the limit
     f1 = theta_j(SignedMonomial(1, 1), 3, 128)
-    square = may_hold(f1, f1)
-    odd = may_hold(f1 * f1, f1)
+    cube = f1 * f1 * f1
+    square = may_hold(cube, cube)
+    odd = may_hold(cube * cube, f1)
     assert square < odd
-    for limit, bits in [(odd, None), (odd - 1, odd), (square - 1, square)]:
+    for limit, bits6, bits7 in [(odd, None, None), (odd - 1, None, odd),
+                                (square - 1, square, square)]:
         monkeypatch.setattr(qproducts, "MAX_ETA_BITS", limit)
-        clear_all()
-        if bits is None:
-            assert eta_power(1, 3, 100) == (f1 * f1 * f1).truncate(100)
-            continue
-        with pytest.raises(QidError) as info:
-            eta_power(1, 3, 100)
-        assert str(info.value) == (
-            f"a product in the power f1^3 would hold about {bits} bits, "
-            f"above the limit {limit}")
+        for e, bits in ((6, bits6), (7, bits7)):
+            clear_all()
+            if bits is None:
+                want = cube * cube * (f1 if e == 7 else S.one(128))
+                assert eta_power(1, e, 100) == want.truncate(100)
+                continue
+            with pytest.raises(QidError) as info:
+                eta_power(1, e, 100)
+            assert str(info.value) == (
+                f"a product in the power f1^{e} would hold about {bits} "
+                f"bits, above the limit {limit}")
+
+
+def test_f1_power_equals_the_repeated_product():
+    # Jacobi's f1^3 and the splits above it against e factors of Euler's
+    # f1, at orders below, at and above one memo step of 64
+    f1 = theta_j(SignedMonomial(1, 1), 3, 200)
+    power = S.one(200)
+    for e in range(1, 41):
+        power = power * f1
+        for order in (1, 63, 64, 200):
+            clear_all()
+            assert window(eta_power(1, e, order)) \
+                == window(power.truncate(order)), (e, order)
 
 
 def test_f1_power_refusal_names_the_power_asked_for():
@@ -160,6 +179,37 @@ def test_eta_expression_concat_distributes():
     right = eta_expression_eval(eta_expression(t1), 20) \
         + eta_expression_eval(eta_expression(t2), 20)
     assert left == right
+
+
+def test_eta_expression_combines_like_terms():
+    # terms with one qpow and one exponent map (zero exponents aside) are
+    # summed where the first stands; zero sums are dropped, and den is
+    # that of the sums left
+    e = eta_expression([
+        (Fraction(1, 2), 1, {2: 1}), (3, 0, {1: 1, 2: 0}),
+        (Fraction(1, 3), 0, {1: -1}), (Fraction(1, 2), 1, {2: 1, 4: 0}),
+        (-3, 0, {1: 1}), (0, 5, {3: 1}), (Fraction(2, 3), 0, {1: -1})])
+    assert e == EtaExpression((EtaMonomial(1, 1, ((2, 1),)),
+                               EtaMonomial(1, 0, ((1, -1),))), 1)
+    assert eta_expression([(1, 0, {2: 1}), (-1, 0, {2: 1})]) \
+        == EtaExpression()
+
+
+def test_eta_expression_vanishes_without_an_inverse(monkeypatch):
+    # 1/f1^4 against its 2-dissection: the normal form's sum vanishes;
+    # one coefficient more does not, and neither answer inverts anything
+    zero = [(1, 0, {1: -4}), (-1, 0, {4: 14, 2: -14, 8: -4}),
+            (-4, 1, {4: 2, 8: 4, 2: -10})]
+    clear_all()
+    monkeypatch.setattr(S, "invert", None)
+    assert qproducts.eta_expression_vanishes(eta_expression(zero), 100)
+    assert not qproducts.eta_expression_vanishes(
+        eta_expression(zero + [(1, 40, {})]), 100)
+    assert not qproducts.eta_expression_vanishes(
+        eta_expression(zero[1:]), 100)
+    # a vanishing value is kept: evaluating it again builds nothing
+    monkeypatch.setattr(qproducts, "_normal_form_eval", None)
+    assert eta_expression_eval(eta_expression(zero), 100) == S.zero(100)
 
 
 def test_theta_j_constant():
@@ -216,46 +266,76 @@ def test_theta_j_equals_product_property(zb, order):
         == window(theta_product(z, base, order))
 
 
+def divided(s, eps, d, p=1):
+    """s / (1 - eps*q^d)^p on s's window, by the list kernel, which reads
+    the window as its list of numerators."""
+    t = list(s.coeffs)
+    assert div_one_minus(t, eps, d, p) is None  # in place
+    return S(s.min_exp, s.order, tuple(t), s.den)
+
+
 @pytest.mark.parametrize("eps", [1, -1])
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 40])
 def test_div_one_minus_inverts_mul_one_minus(eps, d):
     s = S.from_terms({-3: Fraction(1, 6), -1: Fraction(-5, 4), 0: 2,
                       4: Fraction(7, 3), 11: -9}, 20)
     assert s.den != 1 and s.min_exp == -3
-    assert div_one_minus(mul_one_minus(s, eps, d), eps, d) == s
+    assert divided(mul_one_minus(s, eps, d), eps, d) == s
+    twice = mul_one_minus(mul_one_minus(s, eps, d), eps, d)
+    assert divided(twice, eps, d, 2) == s
     geometric = S.from_terms({d * k: eps ** k for k in range(24 // d + 1)}, 24)
-    assert div_one_minus(s, eps, d) == s * geometric
+    assert divided(s, eps, d) == s * geometric
+    assert divided(s, eps, d, 2) == s * geometric * geometric
 
 
-def literal_division(s, eps, d):
-    """s / (1 - eps*q^d) as the recurrence y[i] = x[i] + eps*y[i-d] over
-    s's window, one index at a time."""
-    y = []
-    for i, x in enumerate(s.coeffs):
-        y.append(x + eps * y[i - d] if i >= d else x)
-    return S(s.min_exp, s.order, tuple(y), s.den)
+def literal_division(s, eps, d, p=1):
+    """s / (1 - eps*q^d)^p as p passes of the recurrence
+    y[i] = x[i] + eps*y[i-d] over s's window, one index at a time."""
+    for _ in range(p):
+        y = []
+        for i, x in enumerate(s.coeffs):
+            y.append(x + eps * y[i - d] if i >= d else x)
+        s = S(s.min_exp, s.order, tuple(y), s.den)
+    return s
 
 
 @given(st.integers(0, 300), st.integers(1, 60), st.sampled_from([1, -1]),
        st.sampled_from([2, 3, 6]), st.integers(-20, 20).filter(bool),
-       st.integers(0, 2 ** 32))
+       st.integers(0, 2 ** 32), st.sampled_from([1, 2]))
 # both sides of d*d < len for eps = 1, and of 4*d*d < len for eps = -1
-@example(100, 10, 1, 2, -3, 1)
-@example(101, 10, 1, 2, -3, 1)
-@example(101, 10, -1, 3, 5, 2)
-@example(400, 10, -1, 3, 5, 2)
-@example(401, 10, -1, 6, -7, 3)
-@example(300, 1, -1, 6, 1, 4)
+@example(100, 10, 1, 2, -3, 1, 1)
+@example(101, 10, 1, 2, -3, 1, 1)
+@example(101, 10, -1, 3, 5, 2, 1)
+@example(400, 10, -1, 3, 5, 2, 1)
+@example(401, 10, -1, 6, -7, 3, 1)
+@example(300, 1, -1, 6, 1, 4, 1)
+@example(101, 10, 1, 2, -3, 1, 2)
+@example(401, 10, -1, 6, -7, 3, 2)
 @settings(max_examples=300, deadline=None)
-def test_div_one_minus_matches_recurrence(n, d, eps, den, lo, seed):
+def test_div_one_minus_matches_recurrence(n, d, eps, den, lo, seed, p):
     """Running sums per residue class, the block recurrence and the
     eps = -1 rewrite give the literal recurrence's window, over a
-    denominator and off q^0."""
+    denominator and off q^0, once or twice."""
     rng = random.Random(seed)
     s = S(lo, lo + n - 1, tuple(rng.randint(-10 ** 6, 10 ** 6)
                                 for _ in range(n)), den)
-    assert window(div_one_minus(s, eps, d)) \
-        == window(literal_division(s, eps, d))
+    assert window(divided(s, eps, d, p)) \
+        == window(literal_division(s, eps, d, p))
+
+
+def regime_sums(monkeypatch, n, eps, d, p):
+    """The `accumulate` calls of one division of 1 + 2q + ... + n*q^(n-1),
+    checked against the literal recurrence."""
+    calls = []
+
+    def counted(xs):
+        calls.append(1)
+        return accumulate(xs)
+    monkeypatch.setattr(qproducts, "accumulate", counted)
+    s = S(0, n - 1, tuple(range(1, n + 1)))
+    assert window(divided(s, eps, d, p)) \
+        == window(literal_division(s, eps, d, p))
+    return len(calls)
 
 
 @pytest.mark.parametrize("n, eps, d, sums", [
@@ -266,19 +346,18 @@ def test_div_one_minus_regime(monkeypatch, n, eps, d, sums):
     `accumulate` per residue class, when the window holds more than d
     blocks of d (2d for eps = -1, which sums mod 2d), the block
     recurrence otherwise; both give the literal recurrence."""
-    calls = []
+    assert regime_sums(monkeypatch, n, eps, d, 1) == sums
 
-    def counted(xs):
-        calls.append(1)
-        return accumulate(xs)
-    monkeypatch.setattr(qproducts, "accumulate", counted)
-    s = S(0, n - 1, tuple(range(1, n + 1)))
-    assert window(div_one_minus(s, eps, d)) \
-        == window(literal_division(s, eps, d))
-    assert len(calls) == sums
+
+@pytest.mark.parametrize("n, eps, d, sums", [
+    (500, 1, 22, 44), (484, 1, 22, 0), (500, -1, 2, 8), (400, -1, 10, 0)])
+def test_div_one_minus_regime_squared(monkeypatch, n, eps, d, sums):
+    """Dividing by a squared binomial takes the same regime, with two
+    nested running sums per residue class."""
+    assert regime_sums(monkeypatch, n, eps, d, 2) == sums
 
 
 def test_div_one_minus_rejects_nonpositive_power():
     for d in (0, -1, -5):
         with pytest.raises(ValueError):
-            div_one_minus(S.one(5), 1, d)
+            div_one_minus([1, 0, 0, 0, 0, 0], 1, d)
