@@ -3,7 +3,7 @@ the rationals, eta products, Appell-Lerch sums, mock theta series, and a
 registry-driven identity checker."""
 
 from .appell_lerch import AppellLerchSpec, appell_lerch_m
-from .dissection import dissect_extract, dissect_reconstruct
+from .dissection import dissect_extract
 from .engine import (IdentityRecord, change_z_identity_check,
                      check_congruence, cube_decomposition_check, eval_expr,
                      expr_to_eta, load_registry, report_json, run_suite,
@@ -21,7 +21,7 @@ from .series import TruncatedLaurentSeries
 
 __all__ = [
     "AppellLerchSpec", "appell_lerch_m", "change_z_identity_check",
-    "cube_decomposition_check", "dissect_extract", "dissect_reconstruct",
+    "cube_decomposition_check", "dissect_extract",
     "IdentityRecord", "check_congruence", "eval_expr", "expr_to_eta",
     "load_registry", "report_json", "run_suite", "verify",
     "NonGenericParameterError", "NotInvertibleError", "ParseError",

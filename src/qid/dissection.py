@@ -1,4 +1,4 @@
-"""m-dissection: extraction of exponent residue classes and reconstruction.
+"""m-dissection: extraction of exponent residue classes.
 
 Residues are reduced with floor division, so Laurent series with principal
 parts dissect correctly.
@@ -23,13 +23,3 @@ def dissect_extract(s: TruncatedLaurentSeries, m: int, r: int) -> TruncatedLaure
     lo = (e0 - r) // m
     return TruncatedLaurentSeries(lo, order, s.coeffs[e0 - s.min_exp::m], s.den)
 
-
-def dissect_reconstruct(parts, m: int) -> TruncatedLaurentSeries:
-    """Sum over r of q^r * parts[r](q^m); inverse of full extraction."""
-    if len(parts) != m:
-        raise ValueError(f"expected {m} parts, got {len(parts)}")
-    total = None
-    for r, p in enumerate(parts):
-        piece = p.substitute_power(m).shift(r)
-        total = piece if total is None else total + piece
-    return total

@@ -22,6 +22,7 @@ from operator import add, sub
 
 from . import dsl
 from .appell_lerch import AppellLerchSpec, appell_lerch_m
+from .certificate import certify
 from .dissection import dissect_extract
 from .errors import NotInvertibleError, QidError
 from .mock_theta import mock_theta_series
@@ -283,12 +284,13 @@ def _summands(root, forms: dict) -> list | None:
     times a node x that is not an eta quotient, or x None; None when
     some such x holds a Div or a negative power.
 
-    Eta monomials are multiplied into sums and a quotient by an eta
-    monomial into its dividend; any other node that _eta_forms finds no
-    eta quotient is an x, MT, AL, EXTRACT, SUBST, J and P among them, or
-    a sum or product of such nodes.  The summands are walked from a
-    stack, left to right, so a sum of thousands of terms needs no
-    recursion."""
+    Eta monomials are multiplied into sums, a quotient by an eta monomial
+    into its dividend, and SUBST(E, m) of an eta-quotient sum E is the sum
+    of E's terms with f_k -> f_(mk) and q^a -> q^(ma); any other node that
+    _eta_forms finds no eta quotient is an x, MT, AL, EXTRACT, SUBST, J
+    and P among them, or a sum or product of such nodes.  The summands
+    are walked from a stack, left to right, so a sum of thousands of
+    terms needs no recursion."""
     out = []
     stack = [(root, 1, 0, {})]
     while stack:
@@ -302,6 +304,11 @@ def _summands(root, forms: dict) -> list | None:
             stack.append((node.left, c, a, ex))
         elif kind is dsl.Neg:
             stack.append((node.operand, -c, a, ex))
+        elif kind is dsl.Subst and forms[id(node.expr)][1] is True:
+            m = node.m  # f_k -> f_(mk) and q^a -> q^(ma)
+            out += [(c * tc, a + m * ta,
+                     _times(ex, {m * k: e for k, e in tex.items()}, 1), None)
+                    for tc, ta, tex in _terms(node.expr, forms)]
         elif kind is dsl.Mul and type(forms[id(node.left)][0]) is not _Rejected:
             mc, ma, mex = forms[id(node.left)][0]
             stack.append((node.right, c * mc, a + ma, _times(ex, mex, 1)))
@@ -335,29 +342,38 @@ def _vanishes(diff, n: int, forms: dict) -> bool:
     """Whether diff = lhs - rhs is shown to vanish through q^n by products
     alone, with forms = _eta_forms(diff).
 
-    Let U = q^A prod_k f_k^(m_k) be the common eta denominator of diff's
-    summands (see _summands): A the least q-power, m_k the least exponent
-    of f_k or 0.  U is q^A times a unit, so diff vanishes through q^n
+    A diff whose summands (see _summands) have no x is one eta-quotient
+    sum.  The valence formula (qid.certificate) proves it zero once it
+    vanishes through q^(a0 + B), a0 its least q-power, so when that lies
+    at or below q^n only that much of its normal-form sum is expanded: a
+    proved sum is kept in the memo as zero through q^n, and a nonzero
+    coefficient there fails at n as well.  When the certificate does not
+    apply or its bound lies above q^n, the sum is expanded through q^n
+    (qproducts.eta_expression_vanishes).
+
+    Otherwise let U = q^A prod_k f_k^(m_k) be the common eta denominator
+    of diff's summands: A the least q-power, m_k the least exponent of
+    f_k or 0.  U is q^A times a unit, so diff vanishes through q^n
     exactly when diff/U does through q^(n - A), and diff/U takes no
     inversion: its eta terms keep nonnegative powers (one normal form),
     and the x of each summand is evaluated through the order its q-power
     leaves, summed with the others that share its cleared eta factor
-    F = prod_k f_k^(e_k - m_k), and multiplied by F once.  A diff that is
-    one eta-quotient sum is the sum of its normal form alone (see
-    qproducts.eta_expression_vanishes), kept under the key of the normal
-    form of lhs when rhs is 0, for a later record to read.  False when
+    F = prod_k f_k^(e_k - m_k), and multiplied by F once.  False when
     diff does not vanish, when U is 1, when an x divides (an inversion
     whose order loss and bounds the two sides report), or on an error:
     the two sides then decide, as they alone can pin a first mismatch or
     report an error."""
     try:
-        if forms[id(diff)][1] is True:
-            form = eta_expression(_terms(diff, forms))
-            check_work_order(n - min((t.qpow for t in form.terms), default=0))
-            return eta_expression_vanishes(form, n)
         summands = _summands(diff, forms)
         if summands is None:
             return False
+        if all(x is None for _, _, _, x in summands):
+            form = eta_expression([s[:3] for s in summands])
+            check_work_order(n - min((t.qpow for t in form.terms), default=0))
+            status = certify(form, n).status
+            if status in ("proved", "nonzero"):
+                return status == "proved"
+            return eta_expression_vanishes(form, n)
         live = [s for s in summands if s[0] or s[3] is not None]
         low_q = min((a for _, a, _, _ in live), default=0)
         low_f: dict[int, int] = {}
@@ -547,10 +563,12 @@ def verify(rec: IdentityRecord, order: int | None = None) -> VerificationOutcome
 
     An identity passes when lhs - rhs, one tree whose eta forms both
     sides then share, vanishes over its common eta denominator (see
-    _vanishes), which takes no inversion of an eta quotient.  Any other
-    identity is decided by its two sides, each evaluated through the
-    order: they alone pin a first mismatch or report an error, so every
-    fail and every error reads as if the difference had not been tried."""
+    _vanishes), which takes no inversion of an eta quotient; when lhs -
+    rhs is one eta-quotient sum, the valence formula may prove it zero
+    from fewer coefficients than the order.  Any other identity is
+    decided by its two sides, each evaluated through the order: they
+    alone pin a first mismatch or report an error, so every fail and
+    every error reads as if the difference had not been tried."""
     try:
         if rec.kind == "identity":
             n = order if order is not None else rec.default_order

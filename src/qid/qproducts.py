@@ -222,6 +222,20 @@ def eta_expression(terms) -> EtaExpression:
         for (p, exps), c in sums.items()), den)
 
 
+def factorize(n: int) -> dict[int, int]:
+    """{p: v} with n = prod p^v over the primes p dividing n >= 1, by
+    trial division."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def _eta_product(exps: dict[int, int], order: int) -> TruncatedLaurentSeries:
     """prod_k f_k^(e_k), every e_k >= 0, through q^order.
 
@@ -237,8 +251,11 @@ def _eta_product(exps: dict[int, int], order: int) -> TruncatedLaurentSeries:
         return _eta_product({k // g: e for k, e in exps.items()},
                             order // g).substitute_power(g, order)
     # split off the indices divisible by the divisor that most of them
-    # share; g == 1, so neither part is empty
-    d = max(range(2, max(exps) + 1),
+    # share, the first in increasing order; g == 1, so neither part is
+    # empty.  That divisor is a prime, since a composite d's least prime
+    # factor divides every index d divides, so only the primes of the
+    # indices are tried
+    d = max(sorted({p for k in exps for p in factorize(k)}),
             key=lambda d: sum(k % d == 0 for k in exps))
     group = {k: e for k, e in exps.items() if k % d == 0}
     rest = {k: e for k, e in exps.items() if k % d}
@@ -265,15 +282,20 @@ def eta_expression_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeri
     return kept(expr, order, lambda: _normal_form_eval(expr, order))
 
 
-def eta_expression_vanishes(expr: EtaExpression, order: int) -> bool:
+def eta_expression_vanishes(expr: EtaExpression, order: int,
+                            keep: int | None = None) -> bool:
     """Whether expr vanishes through q^order, decided on the sum of
     eta_expression_eval's normal form, so that nothing is inverted
     whatever the answer.  A vanishing expr is kept in the memo as zero,
-    its value: a later eta_expression_eval of it builds nothing."""
+    its value, through q^keep (order when None; a caller that knows expr
+    vanishes identically may keep more): a later eta_expression_eval of
+    it builds nothing."""
     total, low_q, _ = _normal_form_sum(expr, order)
     if not total.is_zero():
         return False
-    kept(expr, order, lambda: total.shift(low_q))
+    top = order if keep is None else keep
+    kept(expr, top, lambda: TruncatedLaurentSeries.zero(top - low_q)
+         .shift(low_q))
     return True
 
 
