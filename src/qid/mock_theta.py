@@ -7,24 +7,30 @@ Every selector is a sum over n >= 0 of
     sign^n * q^shift(n) * (a; q^2)_n / (b; q^2)_(n+k)^p
 
 with a, b signed monomials, k in {0, 1} and p in {1, 2}.  The power-series
-part T_n = (a; q^2)_n / (b; q^2)_(n+k)^p is carried from term to term as
-one list of integer numerators, changed in place: T_(n+1) is T_n times
-one numerator binomial (1 - a*q^(2n)), one slice-assigned map, divided
-by (1 - b*q^(2(n+k)))^p (qproducts.div_one_minus).  A division whose
-window holds more than d blocks of its divisor's exponent d is p nested
-running sums along each residue class mod d, a few C-level passes.  The
-divisors grow as 2n, so that covers the first terms of each selector: at
-order 500, two thirds of the coefficients that A1 and B1 divide and a
-third of MU2's (whose eps = -1 halves the reach), but a few per cent of
-A2's and B2's, whose shift(n) grows as n, not n^2, so that their many
-later terms walk the window block by block.  Term n is needed only
-through q^(order - shift(n)), so the list is cut (del) as n grows.  The
-sum starts at q^0 with integer numerators over den 1, which `qid coeffs`
-and the congruence and parity checks read directly.  Every summand is
-still the literal defining term, never a closed form, so this module
-stays the independent oracle the Appell-Lerch and eta-quotient
-representations are checked against.  The outer sum stops once shift(n)
-exceeds the truncation order.
+part T_n = (a; q^2)_n / (b; q^2)_(n+k)^p is T_0 * r_0 * ... * r_(n-1),
+with r_n = (1 - a*q^(2n)) / (1 - b*q^(2(n+k)))^p, so the sum is taken in
+nested (Horner) form, from the last term N with shift(N) <= order
+inwards:
+
+    T_0 * q^shift(0) * V_0,
+    V_n = sign^n + q^(shift(n+1) - shift(n)) * r_n * V_(n+1),  V_N = sign^N.
+
+V_n is needed through q^(order - shift(n)), the window the forward term
+T_n would need, and is one list of integer numerators, changed in place:
+V_(n+1) times one numerator binomial (one slice-assigned map), divided
+by (1 - b*q^(2(n+k)))^p (qproducts.div_one_minus), with its gap of zeros
+and sign^n put in front, so no term is added into a separate total.  A
+division whose window holds more than d blocks of its divisor's exponent
+d is p nested running sums along each residue class mod d, a few C-level
+passes, for MU2's 1 + q^d as well.  The divisors grow as 2n, so that
+covers the divisions by r_n for small n (done last); A2's and B2's many
+later terms, whose shift(n) grows as n, not n^2, walk the window block
+by block.  T_0 = 1/(b; q^2)_k^p is divided out once, at the end.  The
+sum is an integer series from q^0 over den 1, which `qid coeffs` and the
+congruence and parity checks read directly.  Every summand is still the
+literal defining term, never a closed form, so this module stays the
+independent oracle the Appell-Lerch and eta-quotient representations are
+checked against.
 """
 
 from __future__ import annotations
@@ -54,24 +60,24 @@ SELECTORS = tuple(_FORMS)
 
 def _summed(sel: str, order: int) -> TruncatedLaurentSeries:
     shift_of, a, b, k, p, sign = _FORMS[sel]
-    total = [0] * (order + 1)
-    shift = shift_of(0)
-    t = [1] + [0] * (order - shift)  # T_0, one list from here on
-    for j in range(k):
-        div_one_minus(t, b.sign, b.exp + 2 * j, p)
+    last = -1  # the last term that reaches q^order; shift_of increases
+    while shift_of(last + 1) <= order:
+        last += 1
+    if last < 0:
+        return TruncatedLaurentSeries(0, order, (0,) * (order + 1))
     times = sub if a.sign > 0 else add  # by the numerator's 1 - a*q^d
-    n = 0
-    while shift <= order:
-        combine = sub if sign < 0 and n % 2 else add
-        total[shift:] = map(combine, total[shift:], t)
-        shift = shift_of(n + 1)
-        # T_n -> T_(n+1), on the window term n+1 needs
-        del t[max(order - shift + 1, 0):]
+    # V_last, then V_n from V_(n+1), each through q^(order - shift(n))
+    v = [sign ** last] + [0] * (order - shift_of(last))
+    for n in range(last - 1, -1, -1):
         d = a.exp + 2 * n
-        t[d:] = map(times, t[d:], t[:max(len(t) - d, 0)])
-        div_one_minus(t, b.sign, b.exp + 2 * (n + k), p)
-        n += 1
-    return TruncatedLaurentSeries(0, order, tuple(total))
+        # map stops at v[d:]'s end, and is read whole before v is written
+        v[d:] = map(times, v[d:], v)
+        div_one_minus(v, b.sign, b.exp + 2 * (n + k), p)
+        v[:0] = [sign ** n] + [0] * (shift_of(n + 1) - shift_of(n) - 1)
+    for j in range(k):  # T_0 = 1/(b; q^2)_k^p
+        div_one_minus(v, b.sign, b.exp + 2 * j, p)
+    v[:0] = [0] * shift_of(0)
+    return TruncatedLaurentSeries(0, order, tuple(v))
 
 
 def mock_theta_series(sel: str, order: int) -> TruncatedLaurentSeries:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, neg, sub
 
 from .caches import kept
 from .errors import QidError, ThetaVanishesError
@@ -76,24 +76,24 @@ def div_one_minus(t: list, eps: int, d: int, p: int = 1) -> None:
 
     1/(1 - eps*q^d) is a power series with constant term 1, so the window
     is kept: y[i] = x[i] + eps*y[i-d].  A window of more than d blocks of
-    d (d*d < len) and eps = 1 takes p nested running sums along each
-    residue class mod d, d slice assignments in all; any other is walked
-    one block of d at a time, p times.  For eps = -1 a window of more than
-    2d blocks of 2d is first multiplied p times by 1 - q^d, since
-    1/(1 + q^d) = (1 - q^d)/(1 - q^(2d)), and then takes running sums mod
-    2d."""
+    d (d*d < len) takes p nested running sums along each residue class
+    mod d, d slice assignments in all; for eps = -1 the class's odd
+    entries are negated before and after, as 1/(1 + X)^p is
+    N (1/(1 - X))^p N with N: X -> -X.  A shorter window is walked one
+    block of d at a time, p times."""
     if d < 1:
         raise ValueError("div_one_minus needs d >= 1")
     n = len(t)
-    if eps < 0 and 4 * d * d < n:
-        for _ in range(p):
-            t[d:] = map(sub, t[d:], t[:n - d])
-        eps, d = 1, 2 * d
-    if eps > 0 and d * d < n:
+    if d * d < n:
         for r in range(d):
             column = t[r::d]
+            if eps < 0:
+                column[1::2] = map(neg, column[1::2])
             for _ in range(p):
                 column = accumulate(column)
+            column = list(column)
+            if eps < 0:
+                column[1::2] = map(neg, column[1::2])
             t[r::d] = column
     else:
         combine = add if eps > 0 else sub
@@ -241,8 +241,10 @@ def _eta_product(exps: dict[int, int], order: int) -> TruncatedLaurentSeries:
 
     f_k^e(q) = f_(k/d)^e(q^d) for d dividing k, so factors whose indices
     share a divisor d are multiplied at order//d and then spread by
-    substitute_power: a product of series d times shorter."""
-    exps = {k: e for k, e in exps.items() if e}
+    substitute_power: a product of series d times shorter.  A factor f_k
+    with k > order is 1 through q^order and is dropped first, so no index
+    above the order is factored."""
+    exps = {k: e for k, e in exps.items() if e and k <= order}
     if len(exps) <= 1:
         k, e = next(iter(exps.items()), (1, 0))
         return eta_power(k, e, order)

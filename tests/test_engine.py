@@ -278,10 +278,11 @@ def test_eta_powers_use_cache(n, monkeypatch):
                         lambda *a: built.append(a) or theta(*a))
     assert eval_expr(parse("2*f3^-7*f2^5"), n) == got.scale(2)
     assert built == []
-    # with the memo emptied, the same evaluation builds them again
+    # with the memo emptied, the same evaluation builds them again; below
+    # q^2, f2 and f3 are 1 and are dropped, so nothing is built
     clear_all()
     assert eval_expr(parse("2*f3^-7*f2^5"), n) == got.scale(2)
-    assert built
+    assert bool(built) == (n >= 2)
 
 
 def test_verdicts_do_not_depend_on_the_memo(registry):

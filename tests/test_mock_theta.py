@@ -1,11 +1,10 @@
 """Direct summation of the three second-order series and their agreement."""
 
 import hashlib
-from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qid import (SELECTORS, eta_expression, eta_expression_eval, eta_power,
@@ -81,6 +80,26 @@ def test_coeffs_300_sha256(sel, capsys):
     assert (s.min_exp, s.order, len(s.coeffs), s.den) == (0, 300, 301, 1)
 
 
+# SHA-256 of `qid coeffs SEL --upto 1000`, pinned before the oracle was
+# rewritten to sum from the last term inwards; the two defining series of
+# A(q), and of B(q), share a pin.
+_COEFFS_1000_SHA256 = {
+    "A1": "4bcc2c913845cd29c9b1033e3ced0cf48c65b8fdf2b20e3bb75391e5b05b8f99",
+    "A2": "4bcc2c913845cd29c9b1033e3ced0cf48c65b8fdf2b20e3bb75391e5b05b8f99",
+    "B1": "a426046d6e436c75c3a4f160d2770334d798c6ecd2339d1225d4f0800ae2ab4f",
+    "B2": "a426046d6e436c75c3a4f160d2770334d798c6ecd2339d1225d4f0800ae2ab4f",
+    "MU2": "20e105b988503dcff83295e18f082e9a3c44b0f5e5ed441bfca5aa89632db1af",
+}
+
+
+@pytest.mark.parametrize("sel", sorted(_COEFFS_1000_SHA256))
+def test_coeffs_1000_sha256(sel, capsys):
+    clear_all()
+    assert main(["coeffs", sel, "--upto", "1000"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _COEFFS_1000_SHA256[sel]
+
+
 def _times_binomial(c, eps, d):
     """c * (1 - eps*q^d) on a coefficient list, truncated to its length."""
     return [c[i] - eps * c[i - d] if i >= d else c[i] for i in range(len(c))]
@@ -88,7 +107,7 @@ def _times_binomial(c, eps, d):
 
 def _times_geometric(c, eps, d):
     """c / (1 - eps*q^d) = c * sum_k eps^k q^(d*k), truncated."""
-    return [sum(Fraction(eps) ** k * c[i - d * k] for k in range(i // d + 1))
+    return [sum(eps ** k * c[i - d * k] for k in range(i // d + 1))
             for i in range(len(c))]
 
 
@@ -111,15 +130,16 @@ def _reference_term(sel, n):
 
 
 def _reference_series(sel, order):
-    """Literal summation in Fractions: every term is its numerator
-    Pochhammer product times one geometric series per denominator factor."""
-    total = [Fraction(0)] * (order + 1)
+    """Literal summation, first term first, in exact integers (every term
+    has denominator 1): each term is its numerator Pochhammer product
+    times one geometric series per denominator factor."""
+    total = [0] * (order + 1)
     n = 0
     while True:
         sign, shift, num, den = _reference_term(sel, n)
         if shift > order:
             return total
-        term = [Fraction(sign)] + [Fraction(0)] * (order - shift)
+        term = [sign] + [0] * (order - shift)
         for eps, d in num:
             term = _times_binomial(term, eps, d)
         for eps, d in den:
@@ -129,8 +149,23 @@ def _reference_series(sel, order):
         n += 1
 
 
-@given(st.sampled_from(SELECTORS), st.integers(0, 40))
-@settings(max_examples=40, deadline=None)
+def _examples(test):
+    """Orders 0-3, and the orders at and beside each selector's first four
+    q-powers shift(n), where the last term that reaches the order changes."""
+    for sel in SELECTORS:
+        shifts = [_reference_term(sel, n)[1] for n in range(4)]
+        for order in {*range(4), *(max(s + i, 0) for s in shifts
+                                   for i in (-1, 0, 1))}:
+            test = example(sel, order)(test)
+    return test
+
+
+# through q^120 a selector's early divisions take running sums (d*d < len)
+# and its later ones the block recurrence; MU2's, by (1 + q^(2n+2))^2,
+# are the signed ones
+@given(st.sampled_from(SELECTORS), st.integers(0, 120))
+@_examples
+@settings(max_examples=60, deadline=None)
 def test_matches_fraction_reference(sel, order):
     s = mock_theta_series(sel, order)
     assert [s.coefficient(i) for i in range(order + 1)] == _reference_series(sel, order)

@@ -1,6 +1,9 @@
 """Pochhammer products, f_k expansion, eta expressions and theta_j."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import accumulate
 
@@ -161,6 +164,30 @@ def test_eta_f_small():
     assert eta_power(7, 1, 5) == S.one(5)  # no factor within the order
 
 
+def test_index_above_the_order_is_not_factored(monkeypatch):
+    """f_k with k > order is 1 through q^order and is dropped before the
+    split, so a 13-digit prime index costs no trial division; a fresh
+    process must end well within its timeout."""
+    big = 1000000000039  # prime
+    factored = []
+    factorize = qproducts.factorize
+    monkeypatch.setattr(qproducts, "factorize",
+                        lambda n: factored.append(n) or factorize(n))
+    clear_all()
+    e = eta_expression([(1, 0, {1: 1, 2: 1, big: 1}), (-1, 0, {1: 1, 2: 1})])
+    assert eta_expression_eval(e, 10) == S.zero(10)
+    assert factored and max(factored) <= 10
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qid.cli", "verify", "--expr", f"f1*f{big}",
+         "--expr", "1", "--order", "10"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "first mismatch at q^1: lhs=-1 rhs=0" in proc.stdout
+
+
 def test_eta_quotients():
     e = eta_expression([(1, 0, {2: 7, 3: 2, 1: -6, 4: -1, 6: -1})])
     s = eta_expression_eval(e, 1)
@@ -302,20 +329,25 @@ def literal_division(s, eps, d, p=1):
 @given(st.integers(0, 300), st.integers(1, 60), st.sampled_from([1, -1]),
        st.sampled_from([2, 3, 6]), st.integers(-20, 20).filter(bool),
        st.integers(0, 2 ** 32), st.sampled_from([1, 2]))
-# both sides of d*d < len for eps = 1, and of 4*d*d < len for eps = -1
+# both sides of d*d < len, for either sign and power
 @example(100, 10, 1, 2, -3, 1, 1)
 @example(101, 10, 1, 2, -3, 1, 1)
-@example(101, 10, -1, 3, 5, 2, 1)
-@example(400, 10, -1, 3, 5, 2, 1)
-@example(401, 10, -1, 6, -7, 3, 1)
+@example(99, 10, -1, 3, 5, 2, 1)
+@example(100, 10, -1, 3, 5, 2, 1)
+@example(101, 10, -1, 6, -7, 3, 1)
 @example(300, 1, -1, 6, 1, 4, 1)
 @example(101, 10, 1, 2, -3, 1, 2)
-@example(401, 10, -1, 6, -7, 3, 2)
+@example(99, 10, -1, 3, 5, 2, 2)
+@example(100, 10, -1, 6, -7, 3, 2)
+@example(101, 10, -1, 6, -7, 3, 2)
+@example(290, 17, -1, 2, 9, 5, 2)
+@example(288, 17, -1, 2, 9, 5, 2)
 @settings(max_examples=300, deadline=None)
 def test_div_one_minus_matches_recurrence(n, d, eps, den, lo, seed, p):
-    """Running sums per residue class, the block recurrence and the
-    eps = -1 rewrite give the literal recurrence's window, over a
-    denominator and off q^0, once or twice."""
+    """Running sums per residue class (with the odd entries of each
+    class negated around them for eps = -1) and the block recurrence give
+    the literal recurrence's window, over a denominator and off q^0, once
+    or twice."""
     rng = random.Random(seed)
     s = S(lo, lo + n - 1, tuple(rng.randint(-10 ** 6, 10 ** 6)
                                 for _ in range(n)), den)
@@ -340,17 +372,19 @@ def regime_sums(monkeypatch, n, eps, d, p):
 
 @pytest.mark.parametrize("n, eps, d, sums", [
     (500, 1, 1, 1), (500, 1, 22, 22), (484, 1, 22, 0), (80, 1, 60, 0),
-    (500, -1, 2, 4), (401, -1, 10, 20), (400, -1, 10, 0), (300, -1, 15, 0)])
+    (500, -1, 2, 2), (401, -1, 10, 10), (400, -1, 10, 10), (300, -1, 15, 15),
+    (80, -1, 60, 0), (99, -1, 10, 0), (100, -1, 10, 0), (101, -1, 10, 10)])
 def test_div_one_minus_regime(monkeypatch, n, eps, d, sums):
-    """The regime is a property of the input: running sums, one
-    `accumulate` per residue class, when the window holds more than d
-    blocks of d (2d for eps = -1, which sums mod 2d), the block
-    recurrence otherwise; both give the literal recurrence."""
+    """The regime is a property of the input, the same for either sign:
+    running sums, one `accumulate` per residue class, when the window
+    holds more than d blocks of d, the block recurrence otherwise; both
+    give the literal recurrence."""
     assert regime_sums(monkeypatch, n, eps, d, 1) == sums
 
 
 @pytest.mark.parametrize("n, eps, d, sums", [
-    (500, 1, 22, 44), (484, 1, 22, 0), (500, -1, 2, 8), (400, -1, 10, 0)])
+    (500, 1, 22, 44), (484, 1, 22, 0), (500, -1, 2, 4), (400, -1, 10, 20),
+    (99, -1, 10, 0), (100, -1, 10, 0), (101, -1, 10, 20)])
 def test_div_one_minus_regime_squared(monkeypatch, n, eps, d, sums):
     """Dividing by a squared binomial takes the same regime, with two
     nested running sums per residue class."""
