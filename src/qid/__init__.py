@@ -4,8 +4,7 @@ registry-driven identity checker."""
 
 from .appell_lerch import AppellLerchSpec, appell_lerch_m
 from .dissection import dissect_extract
-from .engine import (IdentityRecord, change_z_identity_check,
-                     check_congruence, cube_decomposition_check, eval_expr,
+from .engine import (IdentityRecord, check_congruence, eval_expr,
                      expr_to_eta, load_registry, report_json, run_suite,
                      verify)
 from .errors import (NonGenericParameterError, NotInvertibleError, ParseError,
@@ -16,12 +15,11 @@ from .outcome import VerificationOutcome, compare_series
 from .paramcheck import ParamProofOutcome, PPolynomial, prove_zero
 from .qproducts import (EtaExpression, EtaMonomial, SignedMonomial,
                         eta_expression, eta_expression_eval, eta_power,
-                        pochhammer_finite, theta_j)
+                        theta_j)
 from .series import TruncatedLaurentSeries
 
 __all__ = [
-    "AppellLerchSpec", "appell_lerch_m", "change_z_identity_check",
-    "cube_decomposition_check", "dissect_extract",
+    "AppellLerchSpec", "appell_lerch_m", "dissect_extract",
     "IdentityRecord", "check_congruence", "eval_expr", "expr_to_eta",
     "load_registry", "report_json", "run_suite", "verify",
     "NonGenericParameterError", "NotInvertibleError", "ParseError",
@@ -31,7 +29,7 @@ __all__ = [
     "ParamProofOutcome", "PPolynomial", "prove_zero",
     "EtaExpression", "EtaMonomial", "SignedMonomial", "eta_expression",
     "eta_expression_eval", "eta_power",
-    "pochhammer_finite", "theta_j", "TruncatedLaurentSeries",
+    "theta_j", "TruncatedLaurentSeries",
 ]
 
 __version__ = "0.1.0"

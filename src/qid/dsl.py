@@ -21,9 +21,8 @@ limit is lower), counted before it is read.
 CALLS is the one description of the calls: each node class in it lists
 the kind of each argument, for the parser, print_expr and tree walks.
 AL(x, base, z) is the Appell-Lerch sum m(x, q^base, z); J(z, base) is
-j(z;q^base); P(a, step, n) the finite Pochhammer product; MT(sel) a mock
-theta series; EXTRACT(e, m, r), 0 <= r < m, residue-class dissection;
-SUBST(e, m), m >= 1, the substitution q -> q^m.
+j(z;q^base); MT(sel) a mock theta series; EXTRACT(e, m, r), 0 <= r < m,
+residue-class dissection; SUBST(e, m), m >= 1, the substitution q -> q^m.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .series import MAX_POW_EXPONENT
 
 # -- AST --------------------------------------------------------------------
 # Fields are child nodes, ints, the Fraction of a Lit, the SignedMonomial
-# arguments of AL/J/P, or the selector string of an MT.
+# arguments of AL/J, or the selector string of an MT.
 
 class Lit(Record):
     __slots__ = __match_args__ = ("value",)
@@ -114,11 +113,6 @@ class J(Call):
     name, kinds = "J", (MONO, INT)
 
 
-class P(Call):
-    __slots__ = __match_args__ = ("a", "step", "n")
-    name, kinds = "P", (MONO, INT, INT)
-
-
 class MT(Call):
     __slots__ = __match_args__ = ("sel",)
     name, kinds = "MT", (SEL,)
@@ -140,7 +134,7 @@ class Subst(Call):
 
 #: The one description of the DSL calls: each name and its node class.  A
 #: new call is a Call subclass listed here and an engine._eval case.
-CALLS = {c.name: c for c in (AL, J, P, MT, Extract, Subst)}
+CALLS = {c.name: c for c in (AL, J, MT, Extract, Subst)}
 
 #: Deepest nesting of parentheses, call arguments and unary minus the
 #: parser accepts.  Every walk over a tree recurses at most a few frames

@@ -29,7 +29,7 @@ from .mock_theta import mock_theta_series
 from .outcome import VerificationOutcome, compare_series, int_str
 from .qproducts import (EtaExpression, EtaMonomial, SignedMonomial,
                         eta_expression, eta_expression_eval,
-                        eta_expression_vanishes, pochhammer_finite, theta_j)
+                        eta_expression_vanishes, theta_j)
 from .record import Record
 from .series import (MAX_INVERSE_BITS, MAX_LITERAL_BITS,
                      TruncatedLaurentSeries, check_bits, check_work_order,
@@ -66,7 +66,7 @@ def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
     eta quotient goes to the normal form."""
     check_work_order(n)
     if forms[id(e)][1] is True:
-        form = eta_expression(_terms(e, forms))
+        form = eta_expression([t[:3] for t in _summands(e, forms)])
         # through its lowest term at least, so that a divisor above q^n is
         # not all zero
         low = min((t.qpow for t in form.terms), default=0)
@@ -92,8 +92,6 @@ def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
             return appell_lerch_m(AppellLerchSpec(x, base, z), n)
         case dsl.J(z, base):
             return theta_j(z, base, max(n, 0))
-        case dsl.P(a, step, count):
-            return pochhammer_finite(a, step, count, max(n, 0))
         case dsl.MT(sel):
             return mock_theta_series(sel, max(n, 0))
         case dsl.Extract(inner, m, r):
@@ -190,7 +188,7 @@ def _eta_forms(root) -> dict:
     Maps id(node) to (monomial, summable).  monomial is the node as one
     eta-quotient term (coeff, qpow, {k: e}) built from literals, q, f_k,
     *, /, ^ and unary minus; summable is True when the node is a sum of
-    such terms (see _terms).  Where either fails it is a _Rejected naming
+    such terms (see _summands).  Where either fails it is a _Rejected naming
     the first offending node from the left.  A coefficient stays an int
     until a non-integral literal, or a division or negative power of a
     coefficient other than +-1, makes it a Fraction; a literal power
@@ -259,56 +257,42 @@ def _eta_forms(root) -> dict:
     return forms
 
 
-def _terms(e, forms: dict) -> list:
-    """The terms (coeff, qpow, {k: e}) of a node that _eta_forms found
-    summable, left to right: the monomials below its sums and negations,
-    zero literals left out."""
-    terms = []
-    stack = [(e, 1)]
-    while stack:
-        node, sign = stack.pop()
-        kind = type(node)
-        if kind is dsl.Add or kind is dsl.Sub:
-            stack.append((node.right, sign if kind is dsl.Add else -sign))
-            stack.append((node.left, sign))
-        elif kind is dsl.Neg:
-            stack.append((node.operand, -sign))
-        elif kind is not dsl.Lit or node.value:
-            c, p, ex = forms[id(node)][0]
-            terms.append((c if sign > 0 else -c, p, ex))
-    return terms
-
-
 def _summands(root, forms: dict) -> list | None:
     """root as a sum of summands (c, a, {k: e}, x), each c*q^a*prod f_k^e
     times a node x that is not an eta quotient, or x None; None when
     some such x holds a Div or a negative power.
 
-    Eta monomials are multiplied into sums, a quotient by an eta monomial
-    into its dividend, and SUBST(E, m) of an eta-quotient sum E is the sum
-    of E's terms with f_k -> f_(mk) and q^a -> q^(ma); any other node that
-    _eta_forms finds no eta quotient is an x, MT, AL, EXTRACT, SUBST, J
-    and P among them, or a sum or product of such nodes.  The summands
-    are walked from a stack, left to right, so a sum of thousands of
-    terms needs no recursion."""
+    The eta monomials below root's sums and negations are its terms, left
+    to right, zero literals left out: so an eta-quotient sum (see
+    _eta_forms) is read into its normal form here as well.  Eta monomials
+    are multiplied into sums, a quotient by an eta monomial into its
+    dividend, and SUBST(E, m) of an eta-quotient sum E is the sum of E's
+    terms with f_k -> f_(mk) and q^a -> q^(ma); any other node that
+    _eta_forms finds no eta quotient is an x, MT, AL, EXTRACT, SUBST and J
+    among them, or a sum or product of such nodes.  The summands are
+    walked from a stack, so a sum of thousands of terms needs no
+    recursion."""
     out = []
     stack = [(root, 1, 0, {})]
     while stack:
         node, c, a, ex = stack.pop()
         kind = type(node)
-        if forms[id(node)][1] is True:
-            out += [(c * tc, a + ta, _times(ex, tex, 1), None)
-                    for tc, ta, tex in _terms(node, forms)]
-        elif kind is dsl.Add or kind is dsl.Sub:
+        if kind is dsl.Add or kind is dsl.Sub:
             stack.append((node.right, c if kind is dsl.Add else -c, a, ex))
             stack.append((node.left, c, a, ex))
         elif kind is dsl.Neg:
             stack.append((node.operand, -c, a, ex))
+        elif kind is dsl.Lit and not node.value:
+            pass
+        elif type(mono := forms[id(node)][0]) is not _Rejected:
+            mc, ma, mex = mono
+            out.append((c * mc, a + ma, _times(ex, mex, 1) if ex else mex,
+                        None))
         elif kind is dsl.Subst and forms[id(node.expr)][1] is True:
             m = node.m  # f_k -> f_(mk) and q^a -> q^(ma)
             out += [(c * tc, a + m * ta,
                      _times(ex, {m * k: e for k, e in tex.items()}, 1), None)
-                    for tc, ta, tex in _terms(node.expr, forms)]
+                    for tc, ta, tex, _ in _summands(node.expr, forms)]
         elif kind is dsl.Mul and type(forms[id(node.left)][0]) is not _Rejected:
             mc, ma, mex = forms[id(node.left)][0]
             stack.append((node.right, c * mc, a + ma, _times(ex, mex, 1)))
@@ -359,10 +343,13 @@ def _vanishes(diff, n: int, forms: dict) -> bool:
     and the x of each summand is evaluated through the order its q-power
     leaves, summed with the others that share its cleared eta factor
     F = prod_k f_k^(e_k - m_k), and multiplied by F once.  False when
-    diff does not vanish, when U is 1, when an x divides (an inversion
-    whose order loss and bounds the two sides report), or on an error:
-    the two sides then decide, as they alone can pin a first mismatch or
-    report an error."""
+    diff does not vanish, when an x divides, or on an error: the two
+    sides then decide, as they alone can pin a first mismatch or report
+    an error.  An x that divides is not cleared because its inverse is
+    paid for either way, and clearing adds a product by
+    prod_k f_k^(-m_k) to each group: the dissection round-trips
+    sum_r q^r*SUBST(EXTRACT(E, m, r), m) of a quotient E pass sooner on
+    the two sides."""
     try:
         summands = _summands(diff, forms)
         if summands is None:
@@ -380,8 +367,6 @@ def _vanishes(diff, n: int, forms: dict) -> bool:
         for _, _, ex, _ in live:
             for k, e in ex.items():
                 low_f[k] = min(low_f.get(k, 0), e)
-        if not low_q and not any(low_f.values()):
-            return False  # nothing to clear
         top = n - low_q
         check_work_order(top)
         pure, groups = [], {}
@@ -418,7 +403,7 @@ def expr_to_eta(e) -> EtaExpression:
     summable = forms[id(e)][1]
     if summable is not True:
         raise summable.error()
-    return eta_expression(_terms(e, forms))
+    return eta_expression([t[:3] for t in _summands(e, forms)])
 
 
 class IdentityRecord(Record):
@@ -627,25 +612,6 @@ def cube_decomposition_exprs(x: SignedMonomial, base: int) -> tuple[str, str]:
            f"*f{6 * base}*f{9 * base}*J({sm(1, 2 * a + base)}, {2 * base})"
            f"/(f{2 * base}^2*f{18 * base}^2*J({sm(-ex, 3 * a)}, {3 * base}))")
     return lhs, rhs
-
-
-def change_z_identity_check(x: SignedMonomial, base: int, z1: SignedMonomial,
-                            z0: SignedMonomial, order: int) -> VerificationOutcome:
-    """m(x,Q,z1) - m(x,Q,z0) against the theta-quotient right-hand side."""
-    if z1 == z0:  # the rhs factor j(q^0;Q) vanishes, so it cannot be evaluated
-        return VerificationOutcome("pass", order, None,
-                                   "z1 = z0: both sides vanish identically")
-    lhs, rhs = change_z_exprs(x, base, z1, z0)
-    return verify(IdentityRecord(id="change-z", tier="core", anchor="",
-                                 lhs=lhs, rhs=rhs), order)
-
-
-def cube_decomposition_check(x: SignedMonomial, base: int,
-                             order: int) -> VerificationOutcome:
-    """m(x,Q,-1) against its cubic decomposition, instantiated at x, Q = q^base."""
-    lhs, rhs = cube_decomposition_exprs(x, base)
-    return verify(IdentityRecord(id="cube-decomposition", tier="core",
-                                 anchor="", lhs=lhs, rhs=rhs), order)
 
 
 class SuiteResult(Record):

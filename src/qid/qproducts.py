@@ -1,12 +1,12 @@
 """q-Pochhammer products, the eta-like functions f_k, eta-quotient
 expressions, and the theta function j(z;q^base) for signed-monomial z.
 
-Finite products multiply their binomials (1 - eps*q^d), d < 0 included,
-from an order raised by each negative d.  j(z;q^base) is its Jacobi
-triple product sum, O(sqrt(N)) terms through q^N, f_1 = j(q;q^3) by
-Euler's pentagonal theorem (Andrews, The Theory of Partitions, Thm 2.8)
-and f_1^3 by Jacobi's identity, so that f_1^6 takes one product, not
-three.
+A binomial (1 - eps*q^d) multiplies a series exactly (mul_one_minus)
+and divides a list of numerators in place (div_one_minus).  j(z;q^base)
+is its Jacobi triple product sum, O(sqrt(N)) terms through q^N, f_1 =
+j(q;q^3) by Euler's pentagonal theorem (Andrews, The Theory of
+Partitions, Thm 2.8) and f_1^3 by Jacobi's identity, so that f_1^6 takes
+one product, not three.
 """
 
 from __future__ import annotations
@@ -102,21 +102,6 @@ def div_one_minus(t: list, eps: int, d: int, p: int = 1) -> None:
                 t[i:i + d] = map(combine, t[i:i + d], t[i - d:i])
 
 
-def pochhammer_finite(a: SignedMonomial, step: int, n: int, order: int) -> TruncatedLaurentSeries:
-    """The finite product prod_{j=0}^{n-1} (1 - a*q^(step*j)), truncated."""
-    if step < 1:
-        raise ValueError("step must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    c = max(0, min(n, -(a.exp // step)))  # factors with negative exponents
-    work = order - (c * a.exp + step * c * (c - 1) // 2)
-    check_work_order(work)
-    s = TruncatedLaurentSeries.one(work)
-    for e in range(a.exp, min(a.exp + step * n, work + 1), step):
-        s = mul_one_minus(s, a.sign, e)
-    return s.truncate(order)
-
-
 def _jacobi_cube(order: int) -> TruncatedLaurentSeries:
     """f_1^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2) through q^order >= 0:
     Jacobi's identity, a limit of the triple product."""
@@ -185,7 +170,8 @@ def eta_power(k: int, e: int, order: int) -> TruncatedLaurentSeries:
 
 class EtaMonomial(Record):
     """num * q^qpow * prod_k f_k^(e_k), over the den of its EtaExpression;
-    num is an int, exps a sorted tuple of (k, e_k) pairs, no e_k zero."""
+    num is an int, exps a sorted tuple of (k, e_k) pairs, every k >= 1
+    and no e_k zero."""
 
     __slots__ = __match_args__ = ("num", "qpow", "exps")
 
@@ -194,6 +180,8 @@ class EtaMonomial(Record):
             raise ValueError("EtaMonomial numerator must be an int")
         if any(e == 0 for _, e in self.exps):
             raise ValueError("EtaMonomial exponent map must not contain zeros")
+        if any(k < 1 for k, _ in self.exps):
+            raise ValueError("EtaMonomial index k must be positive")
 
 
 class EtaExpression(Record):

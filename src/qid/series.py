@@ -35,9 +35,8 @@ _SMALL_CONV = 8
 #: Largest order any step of an evaluation works at: eight times the
 #: largest order the CLI accepts (engine.MAX_ORDER, 1000).  EXTRACT(e, m, r)
 #: evaluates e at m*n + r, eval_expr pads the order of Laurent and
-#: Appell-Lerch terms, pochhammer_finite starts above its order by its
-#: negative binomial exponents, and theta_j refuses the span its product
-#: form would cover; the registry's largest EXTRACT modulus is 6, which
+#: Appell-Lerch terms, and theta_j refuses the span its product form
+#: would cover; the registry's largest EXTRACT modulus is 6, which
 #: stays within this at order 1000 with room for padding.
 MAX_WORK_ORDER = 8000
 

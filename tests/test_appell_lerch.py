@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qid import (AppellLerchSpec, IdentityRecord, NonGenericParameterError,
-                 SignedMonomial, appell_lerch_m, change_z_identity_check,
-                 cube_decomposition_check, eta_expression,
+                 SignedMonomial, appell_lerch_m, eta_expression,
                  eta_expression_eval, load_registry, mock_theta_series,
                  verify)
 from qid.appell_lerch import _term_min_exp, _window
@@ -19,6 +18,11 @@ from qid.engine import change_z_exprs, cube_decomposition_exprs, eval_expr
 SM = SignedMonomial
 ONE = SM(1, 0)
 MINUS_ONE = SM(-1, 0)
+
+
+def _verify_pair(lhs, rhs, order):
+    return verify(IdentityRecord(id="t", tier="core", anchor="", lhs=lhs,
+                                 rhs=rhs), order)
 
 
 def test_b_representation():
@@ -58,16 +62,12 @@ def test_non_generic_pole_rejected():
         AppellLerchSpec(SM(1, 2), 4, SM(1, -2))
 
 
-def test_change_z_equal_arguments():
-    out = change_z_identity_check(ONE, 4, SM(1, 3), SM(1, 3), 30)
-    assert out.status == "pass"
-
-
 def test_change_z_pinned_instantiations():
-    out = change_z_identity_check(ONE, 4, SM(1, 3), MINUS_ONE, 100)
+    out = _verify_pair(*change_z_exprs(ONE, 4, SM(1, 3), MINUS_ONE), 100)
     assert out.status == "pass", out.message
 
-    out = change_z_identity_check(SM(1, 1), 4, SM(1, 2), MINUS_ONE, 100)
+    out = _verify_pair(*change_z_exprs(SM(1, 1), 4, SM(1, 2), MINUS_ONE),
+                       100)
     assert out.status == "pass", out.message
 
 
@@ -91,16 +91,16 @@ def test_change_z_random_generic():
         x = SM(rng.choice([1, -1]), rng.randint(-3, 3))
         z0 = SM(rng.choice([1, -1]), rng.randint(-12 * base, 12 * base))
         z1 = SM(rng.choice([1, -1]), rng.randint(-12 * base, 12 * base))
-        out = change_z_identity_check(x, base, z1, z0, 200)
+        out = _verify_pair(*change_z_exprs(x, base, z1, z0), 200)
         if out.status == "error":
-            continue  # non-generic draw, try another
+            continue  # non-generic draw or z1 = z0, try another
         assert out.status == "pass", (x, base, z1, z0, out.message)
         checked += 1
 
 
 def test_cube_decomposition_instantiations():
     for x in (ONE, SM(1, 1), SM(-1, 1)):
-        out = cube_decomposition_check(x, 4, 100)
+        out = _verify_pair(*cube_decomposition_exprs(x, 4), 100)
         assert out.status == "pass", (x, out.message)
 
 
@@ -135,11 +135,6 @@ def test_z_shift_invariance(x, base, z, k):
     assert (out.status, out.compared_order) == ("pass", 10), out.message
 
 
-def _verify_pair(lhs, rhs, order):
-    return verify(IdentityRecord(id="t", tier="core", anchor="", lhs=lhs,
-                                 rhs=rhs), order)
-
-
 def test_templates_can_fail():
     lhs, rhs = change_z_exprs(ONE, 4, SM(1, 3), MINUS_ONE)
     out = _verify_pair(lhs, rhs + " + q^7", 60)
@@ -172,6 +167,6 @@ def test_templates_match_registry(rec_id, exprs):
 
 def test_non_generic_draw_is_an_error():
     # x*z1 = q^0: the summand denominator of m(x, q^4, z1) vanishes at r = 0
-    out = change_z_identity_check(SM(1, 2), 4, SM(1, -2), MINUS_ONE, 30)
+    out = _verify_pair(*change_z_exprs(SM(1, 2), 4, SM(1, -2), MINUS_ONE), 30)
     assert (out.status, out.compared_order) == ("error", -1)
     assert "non-generic" in out.message

@@ -6,8 +6,8 @@ from math import isqrt
 
 import pytest
 
-from qid import (QidError, VerificationOutcome, eta_expression, expr_to_eta,
-                 load_registry, verify)
+from qid import (EtaMonomial, QidError, VerificationOutcome, eta_expression,
+                 expr_to_eta, load_registry, verify)
 from qid import dsl
 from qid.caches import clear_all
 from qid.certificate import Certificate, certify, cusp_order, valence_bound
@@ -177,6 +177,16 @@ def test_empty_sum_and_single_term():
     one = expr_to_eta(parse("3*q^4*f2^5/f7"))
     assert certify(one, 4) == Certificate("nonzero", 1, 0)
     assert certify(one, 3) == Certificate("bound_exceeds_order", 1, 0)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_an_index_below_one_is_refused(k):
+    # f_0 would reach valence_bound as a division by zero
+    with pytest.raises(ValueError, match="index k must be positive"):
+        EtaMonomial(1, 0, ((k, 1),))
+    with pytest.raises(ValueError, match="index k must be positive"):
+        certify(eta_expression([(1, 0, {k: 2, 2: 1}), (-1, 0, {1: 2, k: 1})]),
+                10)
 
 
 F3CUBED = ("f3^3/f1", "f4^3*f6^2/(f2^2*f12) + q*f12^3/f4")

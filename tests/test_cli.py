@@ -232,14 +232,15 @@ def test_order_bound(capsys):
 
 
 def test_work_order_bounds_slack_and_substitution(capsys):
-    # J, P and AL's theta prefactor start above their order by the
-    # binomials with negative exponents; f_k and SUBST spread a series by k
-    # or m; a literal power c^k holds about k times c's bits.  Each ends
-    # fast: the bounded ones as error verdicts naming their limit, the rest
-    # by building only the window through q^10 or by the power of -1
+    # J, under SUBST as well, and AL's theta prefactor start above their
+    # order by the binomials with negative exponents; f_k and SUBST spread
+    # a series by k or m; a literal power c^k holds about k times c's
+    # bits.  Each ends fast: the bounded ones as error verdicts naming
+    # their limit, the rest by building only the window through q^10 or by
+    # the power of -1
     for expr, status, limit in [
             ("J(q^-3000, 7)", "error", 8000),
-            ("P(q^-3000, 1, 3000)", "error", 8000),
+            ("SUBST(J(q^-3000, 7), 2)", "error", 8000),
             ("AL(q, 7, q^-100000000)", "error", 8000),
             ("2^10000000000", "error", MAX_LITERAL_BITS),
             ("((2^1000)^1000)^1000", "error", MAX_LITERAL_BITS),
@@ -313,7 +314,7 @@ def test_work_order_bounds_slack_and_substitution(capsys):
 @pytest.mark.parametrize("expr, message", [
     ("SUBST(q, 0)", "SUBST power 0 is not positive at line 1, column 10"),
     ("f0*f1", "unexpected 'f0' at line 1, column 1 (expected 'AL', 'EXTRACT', "
-     "'J', 'MT', 'P', 'SUBST', 'f<k>', 'q')"),
+     "'J', 'MT', 'SUBST', 'f<k>', 'q')"),
 ])
 def test_verify_parse_error_verdict(capsys, expr, message):
     # an error verdict on one line, not a traceback

@@ -1,5 +1,7 @@
 """Expression DSL: parsing, precedence, printing, error reporting."""
 
+import os
+import re
 import sys
 from fractions import Fraction
 
@@ -8,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qid import ParseError, SignedMonomial, load_registry
-from qid.dsl import (AL, MAX_NESTING, MT, Add, Div, Extract, F, J, Lit, Mul,
-                     Neg, P, Pow, Q, Sub, Subst, parse, print_expr)
+from qid.dsl import (AL, CALLS, EXPR, INT, MAX_NESTING, MONO, MT, SEL, Add,
+                     Div, Extract, F, J, Lit, Mul, Neg, Pow, Q, Sub, Subst,
+                     parse, print_expr)
 from qid.mock_theta import SELECTORS
 
 
@@ -71,7 +74,7 @@ def test_error_location_and_expectation():
     assert info.value.column == 6
 
 
-_CALLS = ("'AL'", "'EXTRACT'", "'J'", "'MT'", "'P'", "'SUBST'")
+_CALLS = ("'AL'", "'EXTRACT'", "'J'", "'MT'", "'SUBST'")
 _ATOM = ("'('", "'f<k>'", "'q'", "call", "number")
 _END = ("end of input", "operator")
 _MONO = ("'-q'", "'q'")
@@ -121,7 +124,7 @@ _SEL = ("'A1'", "'A2'", "'B1'", "'B2'", "'MU2'")
     ("MT(\n A1", "unexpected 'end of input' at line 2, column 3 (expected "
      "')')", 2, 3, ("')'",)),
     ("ZZ(1)", "unexpected 'ZZ' at line 1, column 1 (expected 'AL', "
-     "'EXTRACT', 'J', 'MT', 'P', 'SUBST', 'f<k>', 'q')",
+     "'EXTRACT', 'J', 'MT', 'SUBST', 'f<k>', 'q')",
      1, 1, _CALLS + ("'f<k>'", "'q'")),
     ("f1^2^3", "unexpected '^' at line 1, column 5 (expected end of input, "
      "operator)", 1, 5, _END),
@@ -140,10 +143,10 @@ _SEL = ("'A1'", "'A2'", "'B1'", "'B2'", "'MU2'")
     ("SUBST(SUBST(f1, 2),\n  -7)", "SUBST power -7 is not positive at line 2, "
      "column 3", 2, 3, ()),
     ("f0*f1", "unexpected 'f0' at line 1, column 1 (expected 'AL', "
-     "'EXTRACT', 'J', 'MT', 'P', 'SUBST', 'f<k>', 'q')",
+     "'EXTRACT', 'J', 'MT', 'SUBST', 'f<k>', 'q')",
      1, 1, _CALLS + ("'f<k>'", "'q'")),
     ("f1 +\n  f00", "unexpected 'f00' at line 2, column 3 (expected 'AL', "
-     "'EXTRACT', 'J', 'MT', 'P', 'SUBST', 'f<k>', 'q')",
+     "'EXTRACT', 'J', 'MT', 'SUBST', 'f<k>', 'q')",
      2, 3, _CALLS + ("'f<k>'", "'q'")),
     # a malformed argument at each position of each call, one too few and
     # one too many
@@ -159,11 +162,11 @@ _SEL = ("'A1'", "'A2'", "'B1'", "'B2'", "'MU2'")
      1, 6, ("integer",)),
     ("J(q, 2, 3)", "unexpected ',' at line 1, column 7 (expected ')')",
      1, 7, ("')'",)),
-    ("P(f1, 1, 2)", "unexpected 'f1' at line 1, column 3 (expected '-q', "
-     "'q')", 1, 3, _MONO),
-    ("P(q, -, 2)", "unexpected ',' at line 1, column 7 (expected integer)",
-     1, 7, ("integer",)),
-    ("P(q, 1, q)", "unexpected 'q' at line 1, column 9 (expected integer)",
+    ("AL(q, 1, f1)", "unexpected 'f1' at line 1, column 10 (expected '-q', "
+     "'q')", 1, 10, _MONO),
+    ("AL(q, -, q)", "unexpected ',' at line 1, column 8 (expected integer)",
+     1, 8, ("integer",)),
+    ("J(-q^2, q)", "unexpected 'q' at line 1, column 9 (expected integer)",
      1, 9, ("integer",)),
     ("MT(q^2)", "unexpected 'q' at line 1, column 4 (expected 'A1', 'A2', "
      "'B1', 'B2', 'MU2')", 1, 4, _SEL),
@@ -199,7 +202,7 @@ def test_leading_zeros_in_eta_index():
 def test_round_trip_simple():
     for src in ["f2^7*f3^2/(f1^6*f4*f6)", "-(1/q)*AL(q^0, 4, q^3)",
                 "SUBST(EXTRACT(MT(MU2), 3, 1), 2)", "q^2 - 1/2",
-                "J(-q, 3)*P(-q^2, 2, 5)", "((2^3)^-2)^4"]:
+                "J(-q, 3)*AL(-q^2, 2, q^-5)", "((2^3)^-2)^4"]:
         ast = parse(src)
         assert parse(print_expr(ast)) == ast
 
@@ -231,7 +234,6 @@ def _extracts(draw, inner):
 _calls = st.recursive(st.one_of(
     st.builds(AL, _monomials, _call_args, _monomials),
     st.builds(J, _monomials, _call_args),
-    st.builds(P, _monomials, _call_args, _call_args),
     st.sampled_from(SELECTORS).map(MT)), lambda inner: st.one_of(
         _extracts(inner), st.builds(Subst, inner, st.integers(1, 9)),
         st.builds(Mul, inner, inner)), max_leaves=6)
@@ -239,7 +241,7 @@ _calls = st.recursive(st.one_of(
 
 @given(_calls)
 @example(AL(SignedMonomial(-1, 0), -4, SignedMonomial(1, 1)))
-@example(P(SignedMonomial(-1, 1), 0, -1))
+@example(J(SignedMonomial(-1, 1), -1))
 @example(Subst(Extract(Subst(J(SignedMonomial(1, -2), -3), 1), 2, 1), 5))
 @settings(max_examples=300, deadline=None)
 def test_calls_round_trip(node):
@@ -352,3 +354,18 @@ def test_flat_chains_parse_as_full_parentheses(tree):
         except ParseError:
             return ParseError
     assert parsed(print_expr(tree)) == parsed(full_parens(tree))
+
+
+def test_readme_grammar_names_every_call():
+    # the `call :=` production of the README's grammar, with its
+    # continuation lines, lists exactly the calls of dsl.CALLS, each with
+    # the kinds of its arguments
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    rule = re.search(r"^call +:=(.*\n(?: +\|.*\n)*)", text, re.M).group(1)
+    written = {name: tuple(args.replace(" ", "").split(","))
+               for name, args in re.findall(r"([A-Z]+)\(([^)]*)\)", rule)}
+    words = {EXPR: "expr", INT: "int", MONO: "sm", SEL: "sel"}
+    assert written == {name: tuple(words[k] for k in cls.kinds)
+                       for name, cls in CALLS.items()}

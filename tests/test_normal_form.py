@@ -14,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qid import (NotInvertibleError, QidError, SignedMonomial,
-                 dissect_extract, eval_expr, pochhammer_finite)
+from qid import NotInvertibleError, QidError, dissect_extract, eval_expr
 from qid import dsl
 from qid.engine import _eta_forms, _eval
+from qid.qproducts import mul_one_minus
 from qid.series import TruncatedLaurentSeries as S
 
 
@@ -28,8 +28,10 @@ def plain_eval(e, n: int) -> S:
         case dsl.Q():
             return S.monomial(1, max(n, 1))
         case dsl.F(k):  # the product (1 - q^k)...(1 - q^(k*(n//k)))
-            n = max(n, 0)
-            return pochhammer_finite(SignedMonomial(1, k), k, n // k, n)
+            s = S.one(max(n, 0))
+            for d in range(k, n + 1, k):
+                s = mul_one_minus(s, 1, d)
+            return s
         case dsl.Add(a, b):
             return plain_eval(a, n) + plain_eval(b, n)
         case dsl.Sub(a, b):

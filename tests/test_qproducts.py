@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from qid import (EtaExpression, EtaMonomial, QidError, SignedMonomial,
                  ThetaVanishesError, TruncatedLaurentSeries, eta_expression,
-                 eta_expression_eval, eta_power, pochhammer_finite, qproducts,
-                 theta_j)
+                 eta_expression_eval, eta_power, qproducts, theta_j)
 from qid.caches import clear_all
 from qid.qproducts import div_one_minus, mul_one_minus
 
@@ -51,26 +50,35 @@ def window(s):
     return s.min_exp, s.order, s.coeffs, s.den
 
 
+def binomials(eps, exps, order):
+    """prod_d (1 - eps*q^d) over d in exps, one mul_one_minus at a time: a
+    negative d lowers both ends of the window by -d."""
+    s = S.one(order)
+    for d in exps:
+        s = mul_one_minus(s, eps, d)
+    return s
+
+
 def test_pochhammer_examples():
-    one_factor = pochhammer_finite(SignedMonomial(-1, 1), 2, 1, 5)
-    assert one_factor.nonzero_terms() == {0: 1, 1: 1}
-
-    two = pochhammer_finite(SignedMonomial(1, 1), 2, 2, 5)
-    assert two.nonzero_terms() == {0: 1, 1: -1, 3: -1, 4: 1}
-
-    even = pochhammer_finite(SignedMonomial(-1, 2), 2, 2, 8)
-    assert even.nonzero_terms() == {0: 1, 2: 1, 4: 1, 6: 1}
-
-    assert pochhammer_finite(SignedMonomial(1, 1), 1, 0, 4) == S.one(4)
+    assert binomials(-1, [1], 5).nonzero_terms() == {0: 1, 1: 1}
+    assert binomials(1, [1, 3], 5).nonzero_terms() \
+        == {0: 1, 1: -1, 3: -1, 4: 1}
+    assert binomials(-1, [2, 4], 8).nonzero_terms() \
+        == {0: 1, 2: 1, 4: 1, 6: 1}
+    assert binomials(1, [], 4) == S.one(4)
+    laurent = binomials(1, [-2, 1], 6)
+    assert (laurent.min_exp, laurent.order) == (-2, 4)
+    assert laurent.nonzero_terms() == {-2: -1, -1: 1, 0: 1, 1: -1}
 
 
 def test_pochhammer_composition():
-    a = SignedMonomial(-1, 1)
+    # (-q; q^2)_n (-q^(2n+1); q^2)_m = (-q; q^2)_(n+m)
     for n, m in [(0, 3), (2, 2), (3, 1)]:
-        left = pochhammer_finite(a, 2, n, 30) \
-            * pochhammer_finite(a.times(SignedMonomial(1, 2 * n)), 2, m, 30)
-        right = pochhammer_finite(a, 2, n + m, 30)
-        assert left.truncate(right.order).nonzero_terms() == right.nonzero_terms()
+        left = binomials(-1, range(1, 2 * n, 2), 30) \
+            * binomials(-1, range(2 * n + 1, 2 * (n + m), 2), 30)
+        right = binomials(-1, range(1, 2 * (n + m), 2), 30)
+        assert left.truncate(right.order).nonzero_terms() \
+            == right.nonzero_terms()
 
 
 def test_eta_f_pentagonal_short():
