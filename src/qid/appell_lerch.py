@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import partial
 
+from .caches import kept
 from .errors import NonGenericParameterError
 from .qproducts import theta_j, theta_valuation
 from .record import Record
@@ -56,6 +57,13 @@ def _window(a: int, t: int, base: int, order_s: int) -> range:
 
 
 def appell_lerch_m(spec: AppellLerchSpec, order: int) -> TruncatedLaurentSeries:
+    """m(x, q^base, z) through q^order, kept in the memo (qid.caches) so
+    that a shorter request is a truncation: the two sides of a failing
+    identity reuse the m that lhs - rhs built."""
+    return kept(("AL", spec), order, lambda: _summed(spec, order))
+
+
+def _summed(spec: AppellLerchSpec, order: int) -> TruncatedLaurentSeries:
     a, t, base = spec.x.exp, spec.z.exp, spec.base
     ez, eps = spec.z.sign, spec.x.sign * spec.z.sign
 

@@ -1,10 +1,10 @@
 """The one memo of the series qid keeps between calls, one kind of key per
-kind of series: ("f1", e) for f_1^e, an EtaExpression for its value, and
-("MT", sel) for a direct sum.  A key holds the longest series built for
-it; a request at or below that order gets it truncated, a longer one
-calls build() and keeps the result in its place.  Nothing is evicted.  A
-build may call kept() for other keys, so nothing iterates the memo while
-one runs."""
+kind of series: ("f1", e) for f_1^e, an EtaExpression for its value,
+("MT", sel) for a direct sum and ("AL", spec) for an Appell-Lerch sum.  A
+key holds the longest series built for it; a request at or below that
+order gets it truncated, a longer one calls build() and keeps the result
+in its place.  Nothing is evicted.  A build may call kept() for other
+keys, so nothing iterates the memo while one runs."""
 
 _kept: dict = {}
 

@@ -27,7 +27,7 @@ from .dissection import dissect_extract
 from .errors import NotInvertibleError, QidError
 from .mock_theta import mock_theta_series
 from .outcome import VerificationOutcome, compare_series, int_str
-from .qproducts import (EtaExpression, EtaMonomial, SignedMonomial,
+from .qproducts import (EtaExpression, SignedMonomial, cleared_sum,
                         eta_expression, eta_expression_eval,
                         eta_expression_vanishes, theta_j)
 from .record import Record
@@ -329,27 +329,22 @@ def _vanishes(diff, n: int, forms: dict) -> bool:
     A diff whose summands (see _summands) have no x is one eta-quotient
     sum.  The valence formula (qid.certificate) proves it zero once it
     vanishes through q^(a0 + B), a0 its least q-power, so when that lies
-    at or below q^n only that much of its normal-form sum is expanded: a
-    proved sum is kept in the memo as zero through q^n, and a nonzero
-    coefficient there fails at n as well.  When the certificate does not
-    apply or its bound lies above q^n, the sum is expanded through q^n
+    at or below q^n only that much of its sum over its common eta
+    denominator (qproducts.cleared_sum) is expanded: a proved sum is kept
+    in the memo as zero through q^n, and a nonzero coefficient there
+    fails at n as well.  When the certificate does not apply or its bound
+    lies above q^n, that sum is expanded through q^n
     (qproducts.eta_expression_vanishes).
 
-    Otherwise let U = q^A prod_k f_k^(m_k) be the common eta denominator
-    of diff's summands: A the least q-power, m_k the least exponent of
-    f_k or 0.  U is q^A times a unit, so diff vanishes through q^n
-    exactly when diff/U does through q^(n - A), and diff/U takes no
-    inversion: its eta terms keep nonnegative powers (one normal form),
-    and the x of each summand is evaluated through the order its q-power
-    leaves, summed with the others that share its cleared eta factor
-    F = prod_k f_k^(e_k - m_k), and multiplied by F once.  False when
-    diff does not vanish, when an x divides, or on an error: the two
-    sides then decide, as they alone can pin a first mismatch or report
-    an error.  An x that divides is not cleared because its inverse is
-    paid for either way, and clearing adds a product by
-    prod_k f_k^(-m_k) to each group: the dissection round-trips
-    sum_r q^r*SUBST(EXTRACT(E, m, r), m) of a quotient E pass sooner on
-    the two sides."""
+    Otherwise each x is evaluated through q^(n - a), the order its
+    summand c*q^a*prod_k f_k^(e_k) leaves, and diff vanishes when its
+    cleared sum does.  False when diff does not vanish, when an x
+    divides, or on an error: the two sides then decide, as they alone
+    can pin a first mismatch or report an error.  An x that divides is
+    not cleared because its inverse is paid for either way, and clearing
+    adds a product by the denominator's eta part to each group: the
+    dissection round-trips sum_r q^r*SUBST(EXTRACT(E, m, r), m) of a
+    quotient E pass sooner on the two sides."""
     try:
         summands = _summands(diff, forms)
         if summands is None:
@@ -361,37 +356,10 @@ def _vanishes(diff, n: int, forms: dict) -> bool:
             if status in ("proved", "nonzero"):
                 return status == "proved"
             return eta_expression_vanishes(form, n)
-        live = [s for s in summands if s[0] or s[3] is not None]
-        low_q = min((a for _, a, _, _ in live), default=0)
-        low_f: dict[int, int] = {}
-        for _, _, ex, _ in live:
-            for k, e in ex.items():
-                low_f[k] = min(low_f.get(k, 0), e)
-        top = n - low_q
-        check_work_order(top)
-        pure, groups = [], {}
-        for c, a, ex, x in live:
-            cleared = {k: ex.get(k, 0) - m for k, m in low_f.items()}
-            if x is None:
-                pure.append((c, a - low_q, cleared))
-            else:
-                key = tuple(sorted((k, e) for k, e in cleared.items() if e))
-                groups.setdefault(key, []).append((c, a - low_q, x))
-        total = eta_expression_eval(eta_expression(pure), top)
-        for key, members in groups.items():
-            shift = min(a for _, a, _ in members)
-            g = None
-            for c, a, x in members:
-                s = eval_expr(x, max(top - a, 0), forms).scale(c).shift(a - shift)
-                g = s if g is None else g + s
-            if key:
-                f_order = max(top - shift - min(g.min_exp, 0), 0)
-                check_work_order(f_order)
-                f = eta_expression_eval(
-                    EtaExpression((EtaMonomial(1, 0, key),)), f_order)
-                g = checked_product(g, f, "a series product", MAX_INVERSE_BITS)
-            total = total + g.shift(shift)
-        return total.truncate(top).is_zero()
+        return cleared_sum(
+            [(c, a, ex,
+              None if x is None else eval_expr(x, max(n - a, 0), forms))
+             for c, a, ex, x in summands], n)[0].is_zero()
     except (QidError, ValueError):
         return False
 

@@ -18,8 +18,9 @@ from operator import add, neg, sub
 from .caches import kept
 from .errors import QidError, ThetaVanishesError
 from .record import Record
-from .series import (MAX_LITERAL_BITS, MAX_POW_EXPONENT, MAX_WORK_ORDER,
-                     TruncatedLaurentSeries, check_work_order, checked_product)
+from .series import (MAX_INVERSE_BITS, MAX_LITERAL_BITS, MAX_POW_EXPONENT,
+                     MAX_WORK_ORDER, TruncatedLaurentSeries, check_work_order,
+                     checked_product)
 
 _CACHE_STEP = 64
 
@@ -255,19 +256,19 @@ def _eta_product(exps: dict[int, int], order: int) -> TruncatedLaurentSeries:
 def eta_expression_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeries:
     """sum_i c_i q^(a_i) prod_k f_k^(e_ik), exact through q^order.
 
-    The one evaluator of eta quotients, through a normal form.  With
-    A = min a_i and m_k = min(0, min_i e_ik) over the terms, the sum is
-    U * sum_i c_i q^(a_i - A) prod_k f_k^(e_ik - m_k), where
-    U = q^A prod_k f_k^(m_k).  Every power left in the sum is nonnegative,
-    so it comes from the memo of f_1 powers with small coefficients and
-    needs no inversion; U's negative part costs one inversion of the
-    positive product prod_k f_k^(-m_k), and none when the sum vanishes
-    (see eta_expression_vanishes).  Each f_k^e has constant term 1, so
-    nothing loses order: the sum is needed through q^(order - A), and
-    the result is known through q^order exactly.  A request at or below
-    the order of a kept value is that value, truncated (qid.caches): a
-    dissection check such as E = sum_r q^r SUBST(EXTRACT(E, m, r), m)
-    evaluates the same E m + 1 times at about the same order.
+    The one evaluator of eta quotients, through a normal form: the sum
+    is U times cleared_sum's sum of it, with U = q^A prod_k f_k^(m_k) its
+    common eta denominator.  The cleared sum takes its nonnegative powers
+    from the memo of f_1 powers, with small coefficients, and needs no
+    inversion; U's negative part costs one inversion of the positive
+    product prod_k f_k^(-m_k), and none when the sum vanishes (see
+    eta_expression_vanishes).  Each f_k^e has constant term 1, so
+    nothing loses order: the cleared sum is needed through
+    q^(order - A), and the result is known through q^order exactly.  A
+    request at or below the order of a kept value is that value,
+    truncated (qid.caches): a dissection check such as
+    E = sum_r q^r SUBST(EXTRACT(E, m, r), m) evaluates the same E m + 1
+    times at about the same order.
     """
     return kept(expr, order, lambda: _normal_form_eval(expr, order))
 
@@ -280,7 +281,8 @@ def eta_expression_vanishes(expr: EtaExpression, order: int,
     its value, through q^keep (order when None; a caller that knows expr
     vanishes identically may keep more): a later eta_expression_eval of
     it builds nothing."""
-    total, low_q, _ = _normal_form_sum(expr, order)
+    total, low_q, _ = cleared_sum(
+        [(t.num, t.qpow, dict(t.exps), None) for t in expr.terms], order)
     if not total.is_zero():
         return False
     top = order if keep is None else keep
@@ -289,34 +291,60 @@ def eta_expression_vanishes(expr: EtaExpression, order: int,
     return True
 
 
-def _normal_form_sum(expr: EtaExpression, order: int):
-    """(sum_i c_i q^(a_i - A) prod_k f_k^(e_ik - m_k) through
-    q^(order - A) in numerators, A, {k: m_k}): the normal form's sum, with
-    only nonnegative powers; zero through q^order, 0, {} when no term
-    reaches q^order."""
-    terms = expr.terms
-    low_q = min((t.qpow for t in terms), default=0)
+def cleared_sum(summands, order: int):
+    """(S, A, {k: m_k}): the sum of summands (c, a, {k: e}, s), each
+    c*q^a*prod_k f_k^(e_k) times s, over its common eta denominator
+    U = q^A prod_k f_k^(m_k), through q^(order - A).
+
+    c is an int or a Fraction; s is the series of a factor that is no eta
+    quotient, exact through q^(order - a), or None for 1.  A is the least
+    a and m_k the least e_k or 0, over the summands but the eta terms
+    whose c is 0.  U is q^A times a unit, so the sum vanishes through
+    q^order exactly when S does through q^(order - A), and every power
+    left in S is nonnegative: S takes no inversion.  Like eta terms are
+    summed, and each sum is its own product; the factors that share a
+    cleared eta factor F = prod_k f_k^(e_k - m_k) are summed and
+    multiplied by F once, F built through the order the group's least
+    q-power leaves, and as far again as their sum reaches below it, a
+    product refused first when it may hold more than MAX_INVERSE_BITS.
+    A work order order - A above MAX_WORK_ORDER raises QidError."""
+    live = [t for t in summands if t[0] or t[3] is not None]
+    low_q = min((a for _, a, _, _ in live), default=0)
     work = order - low_q
-    if work < 0 or not terms:
-        return TruncatedLaurentSeries.zero(order), 0, {}
+    check_work_order(work)
     low_f: dict[int, int] = {}
-    for t in terms:
-        for k, e in t.exps:
+    for _, _, exps, _ in live:
+        for k, e in exps.items():
             low_f[k] = min(low_f.get(k, 0), e)
     total = TruncatedLaurentSeries.zero(work)
-    for t in terms:
-        shift = t.qpow - low_q
-        if shift > work:
-            continue  # the whole term lies beyond the truncation order
-        exps = dict(t.exps)
-        s = _eta_product({k: exps.get(k, 0) - m for k, m in low_f.items()},
-                         work - shift)
-        total = total + s.scale(t.num).shift(shift)
-    return total, low_q, low_f
+    like, groups = {}, {}
+    for c, a, exps, s in live:
+        # the cleared powers, indexed alike for every summand
+        cleared = tuple((k, exps.get(k, 0) - m) for k, m in low_f.items())
+        if s is None:
+            like[a, cleared] = like.get((a, cleared), 0) + c
+        else:
+            groups.setdefault(cleared, []).append((c, a - low_q, s))
+    for (a, cleared), c in like.items():
+        if c and a <= order:  # else zero through q^order
+            total = total + _eta_product(dict(cleared), order - a) \
+                .scale(c).shift(a - low_q)
+    for cleared, members in groups.items():
+        low = min(shift for _, shift, _ in members)
+        parts = [s.scale(c).shift(shift - low) for c, shift, s in members]
+        g = sum(parts[1:], parts[0])
+        if any(e for _, e in cleared):
+            f_order = max(work - low - min(g.min_exp, 0), 0)
+            check_work_order(f_order)
+            g = checked_product(g, _eta_product(dict(cleared), f_order),
+                                "a series product", MAX_INVERSE_BITS)
+        total = total + g.shift(low)
+    return total.truncate(work), low_q, low_f
 
 
 def _normal_form_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeries:
-    total, low_q, low_f = _normal_form_sum(expr, order)
+    total, low_q, low_f = cleared_sum(
+        [(t.num, t.qpow, dict(t.exps), None) for t in expr.terms], order)
     if any(low_f.values()) and not total.is_zero():
         total = total * _eta_product(
             {k: -m for k, m in low_f.items()}, total.order).invert()

@@ -12,6 +12,7 @@ from qid import (AppellLerchSpec, IdentityRecord, NonGenericParameterError,
                  eta_expression_eval, load_registry, mock_theta_series,
                  verify)
 from qid.appell_lerch import _term_min_exp, _window
+from qid.caches import clear_all
 from qid.dsl import parse
 from qid.engine import change_z_exprs, cube_decomposition_exprs, eval_expr
 
@@ -54,6 +55,23 @@ def test_half_denominator_term():
     from fractions import Fraction
     assert s.coefficient(0) == Fraction(1, 4)
     assert s.coefficient(36) == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("x, base, z", [
+    (ONE, 4, SM(1, 3)), (SM(-1, 1), 4, MINUS_ONE), (ONE, 36, MINUS_ONE),
+    # x or z a negative power of q
+    (SM(1, -3), 4, SM(1, 2)), (SM(-1, 2), 3, SM(1, -5)),
+    (SM(1, -6), 5, SM(-1, -1)), (SM(-1, -9), 7, SM(1, 4))])
+def test_a_kept_sum_truncates_to_a_fresh_one(x, base, z):
+    spec = AppellLerchSpec(x, base, z)
+    for n in (0, 3, 17, 60):
+        clear_all()
+        long = appell_lerch_m(spec, 120)
+        short = appell_lerch_m(spec, n)  # from the memo
+        clear_all()
+        fresh = appell_lerch_m(spec, n)
+        assert short == fresh and fresh.order == n
+        assert long.truncate(n) == fresh
 
 
 def test_non_generic_pole_rejected():

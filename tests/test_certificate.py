@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qid import (EtaMonomial, QidError, VerificationOutcome, eta_expression,
                  expr_to_eta, load_registry, verify)
@@ -12,6 +14,7 @@ from qid import dsl
 from qid.caches import clear_all
 from qid.certificate import Certificate, certify, cusp_order, valence_bound
 from qid.dsl import parse
+from qid.paramcheck import prove_zero
 
 from test_engine import identity, two_sided
 
@@ -243,3 +246,53 @@ def test_a_bound_above_the_order_expands_through_the_order(records):
         assert certify(form, order) \
             == Certificate("bound_exceeds_order", 12, 9)
         assert verify(rec, order) == VerificationOutcome("pass", order)
+
+
+# -- the certificate agrees with the (p,k)-parametrization -----------------
+
+#: the registry identities qid.paramcheck.prove_zero proves: every index
+#: is one of 1, 2, 3, 4, 6 and 12
+PARAMETRIZED = ("zero-s0", "zero-s1", "zero-h0", "zero-h1", "zero-r0",
+                "f3-over-f1cubed", "f3cubed-over-f1", "f1-over-f3cubed",
+                "f1cubed-over-f3")
+
+
+def test_the_parametrized_records_are_the_ones_proved(records):
+    proved = set()
+    for rid in LEVELS_AND_BOUNDS:
+        rec = records[rid]
+        try:
+            out = prove_zero(expr_to_eta(parse(f"({rec.lhs}) - ({rec.rhs})")))
+        except QidError:
+            continue  # an index without a parametrization
+        if out.proved:
+            proved.add(rid)
+    assert proved == set(PARAMETRIZED)
+    assert {LEVELS_AND_BOUNDS[rid][0] for rid in PARAMETRIZED} == {12}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(PARAMETRIZED),
+       st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+       st.integers(0, 20), st.data())
+def test_a_parametrized_proof_is_certified(records, rid, exps, extra, data):
+    # lhs - rhs times a quotient of f1, f2, f3, f4, f6 and f12, which
+    # multiplies every term alike: proved by both, the certificate at any
+    # order from a0 + B up; with one coefficient doubled, by neither
+    quotient = dict(zip((1, 2, 3, 4, 6, 12), exps))
+    rec = records[rid]
+    terms = [(c, a, {k: ex.get(k, 0) + quotient.get(k, 0)
+                     for k in ex.keys() | quotient.keys()})
+             for c, a, ex in difference(rec.lhs, rec.rhs)]
+    form = eta_expression(terms)
+    _, bound = valence_bound(form)
+    order = min(t.qpow for t in form.terms) + bound + extra
+    clear_all()
+    assert prove_zero(form).proved
+    assert certify(form, order).status == "proved"
+    i = data.draw(st.integers(0, len(terms) - 1))
+    c, a, ex = terms[i]
+    doubled = eta_expression(terms[:i] + [(2 * c, a, ex)] + terms[i + 1:])
+    clear_all()
+    assert not prove_zero(doubled).proved
+    assert certify(doubled, order).status != "proved"

@@ -12,7 +12,7 @@ from qid import (SELECTORS, EtaExpression, IdentityRecord, QidError,
                  SignedMonomial, VerificationOutcome, check_congruence,
                  compare_series, eta_expression, eval_expr, expr_to_eta,
                  load_registry, report_json, run_suite, verify)
-from qid import dsl, engine, qproducts
+from qid import appell_lerch, dsl, engine, qproducts
 from qid.caches import clear_all
 from qid.dsl import parse, print_expr
 from qid.engine import check_parity_characterization
@@ -530,6 +530,17 @@ def _identities(draw):
 @example(("J(q^4, 4)", "SUBST(q, 0)"), 5)
 @example(("J(q^4, 4)", "2^10000000000"), 5)
 @example(("MT(B1) + 2^10000000000", "SUBST(q, 0)"), 5)
+# a factor whose summand lies above the order reaches back into it: -q^19
+@example(("q^21*J(q^-2, 4) + MT(B1)", "MT(B1) - q^19"), 20)
+@example(("q^21*J(q^-2, 4) + MT(B1)", "MT(B1) - q^19 + q^20"), 20)
+# an eta term with coefficient 0 does not move the common denominator
+@example(("0*f1^-5*f2 + MT(B1)", "MT(B1)"), 20)
+@example(("0*f1^-5*f2 + MT(B1)", "MT(B1) + q^20"), 20)
+# two factors share the cleared eta factor f1^2, at q^1 and q^3
+@example(("q*f1*MT(B1) + q^3*f1*MT(A1) + 1/f1",
+          "1/f1 + f1*(q*MT(B1) + q^3*MT(A1))"), 30)
+@example(("q*f1*MT(B1) + q^3*f1*MT(A1) + 1/f1",
+          "1/f1 + f1*(q*MT(B1) + q^3*MT(A1)) + q^25"), 30)
 def test_cleared_pass_agrees_with_the_two_sides(ids, order):
     lhs, rhs = ids
     clear_all()
@@ -581,6 +592,19 @@ def test_each_appell_lerch_summand_is_evaluated_once(registry, rid,
                         lambda *a: calls.append(a) or al(*a))
     assert verify(rec).status == "pass"
     assert len(calls) == (rec.lhs + rec.rhs).count("AL(")
+
+
+def test_a_failing_identity_builds_each_appell_lerch_sum_once(monkeypatch):
+    # lhs - rhs builds AL(q, 4, q^2) and does not vanish; the two sides
+    # then take it from the memo
+    builds = []
+    summed = appell_lerch._summed
+    monkeypatch.setattr(appell_lerch, "_summed",
+                        lambda *a: builds.append(a) or summed(*a))
+    clear_all()
+    out = verify(identity("MT(A1)", "-AL(q, 4, q^2) + q^140"), 150)
+    assert out.first_mismatch == (140, 2717279628, 2717279629)
+    assert len(builds) == 1
 
 
 def test_long_sums_clear_in_loops():
