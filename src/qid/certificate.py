@@ -23,14 +23,15 @@ and poles on X0(N) balance, so its order at infinity is at most B, the
 sum of those pole orders over the cusps other than infinity.  Hence the
 sum vanishes identically once it vanishes through q^(a0 + B).
 
-Everything is exact integer and Fraction arithmetic over the divisors of
-the level; the level is capped at MAX_LEVEL, which bounds that walk.
+Everything is exact integer arithmetic over the divisors of the level,
+but cusp_order's Fraction; the level is capped at MAX_LEVEL, which bounds
+that walk.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul, sub
 
 from .qproducts import EtaExpression, eta_expression_vanishes, factorize
@@ -102,15 +103,17 @@ def valence_bound(expr: EtaExpression) -> tuple[int, int] | None:
         powers = [f.get(p, 0) for f in factors]
         if any(sum(map(mul, powers, r)) % 2 for r in quotients):
             return None
-    bound = Fraction(0)
+    # 24 N B: g d divides N, g = gcd(d, N/d), so each cusp's share of B,
+    # -phi(g) low / (24 g d), is an integer over 24 N
+    bound = 0
     for d in _divisors(level)[:-1]:
         weights = _cusp_weights(indices, level, d)
         low = min(0, *(sum(map(mul, weights, r)) for r in quotients))
         g = gcd(d, level // d)
-        bound -= Fraction(_phi(g) * low, 24 * g * d)
+        bound -= _phi(g) * low * (level // (g * d))
     # the order at infinity is an integer, so it exceeds B when it
     # exceeds floor(B)
-    return level, floor(bound)
+    return level, bound // (24 * level)
 
 
 def cusp_order(r: dict[int, int], level: int, d: int) -> Fraction:

@@ -198,7 +198,8 @@ def cmd_param_check(args) -> int:
             return 2
         src = f"({rec.lhs}) - ({rec.rhs})"
     try:
-        outcome = prove_zero(engine.expr_to_eta(dsl.parse(src)))
+        forms: dict = {}
+        outcome = prove_zero(engine.expr_to_eta(dsl.parse(src, forms), forms))
     except (QidError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,13 @@ the kind of each argument, for the parser, print_expr and tree walks.
 AL(x, base, z) is the Appell-Lerch sum m(x, q^base, z); J(z, base) is
 j(z;q^base); MT(sel) a mock theta series; EXTRACT(e, m, r), 0 <= r < m,
 residue-class dissection; SUBST(e, m), m >= 1, the substitution q -> q^m.
+
+Each node has an eta form, what it is as an eta-quotient term or sum,
+read from its children's by the rule FORM_RULES gives for its class.
+parse(src, forms) records each node's form as it builds the node, and
+eta_forms finds them by the same rule for a tree built elsewhere.  The
+parser reads src's tokens as strings from one regex pass and builds its
+nodes from their slots' setters.
 """
 
 from __future__ import annotations
@@ -30,12 +37,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, QidError
 from .mock_theta import SELECTORS
 from .outcome import max_digits
 from .qproducts import SignedMonomial
 from .record import Record
-from .series import MAX_POW_EXPONENT
+from .series import MAX_LITERAL_BITS, MAX_POW_EXPONENT, check_bits
 
 
 # -- AST --------------------------------------------------------------------
@@ -143,168 +150,412 @@ CALLS = {c.name: c for c in (AL, J, MT, Extract, Subst)}
 #: rather than a RecursionError.  The registry nests at most 4 deep.
 MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^(),])")
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|[-+*/^(),]")
 #: any character no token starts with, other than whitespace
 _BAD_CHAR_RE = re.compile(r"[^\s\dA-Za-z\-+*/^(),]")
-_KINDS = ("", "INT", "NAME", "OP")
-_F_RE = re.compile(r"f(0*[1-9]\d*)")  # f_k needs k >= 1
+#: the most digits an exponent within MAX_POW_EXPONENT has
+_EXPONENT_DIGITS = len(str(MAX_POW_EXPONENT))
+
+
+# -- eta forms ----------------------------------------------------------------
+# A node's eta form is (monomial, summable).  monomial is the node as one
+# eta-quotient term (coeff, qpow, {k: e}) built from literals, q, f_k, *,
+# /, ^ and unary minus; summable is True when the node is a sum of such
+# terms (see engine._summands).  Where either fails it is a Rejected naming
+# the first offending node from the left.  A coefficient stays an int
+# until a non-integral literal, or a division or negative power of a
+# coefficient other than +-1, makes it a Fraction; a literal power
+# estimated above MAX_LITERAL_BITS raises QidError.  A node's form is read
+# from its children's alone, by the rule FORM_RULES gives for its class:
+# the parser applies it to each node it builds (parse with forms) and
+# eta_forms to a tree built elsewhere, so both give the same forms.
+
+class Rejected(Record):
+    """Why a subtree is not an eta quotient: the reason and the node it
+    names, rendered only when an error reports it."""
+
+    __slots__ = __match_args__ = ("reason", "node")
+
+    def error(self) -> QidError:
+        return QidError(f"{self.reason}: {print_expr(self.node)}")
+
+
+def reciprocal(c):
+    """1/c for a nonzero int or Fraction c; an int stays one when c is +-1."""
+    return c if c == 1 or c == -1 else Fraction(1, c)
+
+
+def times(a: dict, b: dict, sign: int) -> dict:
+    """The exponent map {k: e} of a product (sign 1) or quotient (sign -1)
+    of eta quotients with exponent maps a and b."""
+    ex = dict(a)
+    for k, v in b.items():
+        ex[k] = ex.get(k, 0) + sign * v
+    return ex
+
+
+def _lit_form(node, forms):
+    v = node.value
+    return (v.numerator if v.denominator == 1 else v, 0, {}), True
+
+
+def _q_form(node, forms):
+    return (1, 1, {}), True
+
+
+def _f_form(node, forms):
+    return (1, 0, {node.k: 1}), True
+
+
+def _mul_form(node, forms):
+    ma, mb = forms[id(node.left)][0], forms[id(node.right)][0]
+    if type(ma) is Rejected:
+        return ma, ma
+    if type(mb) is Rejected:
+        return mb, mb
+    (ca, pa, ea), (cb, pb, eb) = ma, mb
+    ex = dict(ea)  # times(ea, eb, 1), in the commonest rule
+    for k, v in eb.items():
+        ex[k] = ex.get(k, 0) + v
+    return (ca * cb, pa + pb, ex), True
+
+
+def _div_form(node, forms):
+    ma, mb = forms[id(node.left)][0], forms[id(node.right)][0]
+    if type(ma) is Rejected:
+        return ma, ma
+    if type(mb) is Rejected:
+        return mb, mb
+    (ca, pa, ea), (cb, pb, eb) = ma, mb
+    if not cb:
+        mono = Rejected("division by zero", node)
+        return mono, mono
+    return (ca * reciprocal(cb), pa - pb, times(ea, eb, -1)), True
+
+
+def _pow_form(node, forms):
+    mono = forms[id(node.base)][0]
+    if type(mono) is Rejected:
+        return mono, mono
+    c, p, ex = mono
+    k = node.exp
+    if c == 1:  # 1^k is 1, as an int or a Fraction
+        return (c, p * k, {f: v * k for f, v in ex.items()}), True
+    if k < 0 and not c:
+        mono = Rejected("division by zero", node)
+        return mono, mono
+    if c not in (0, 1, -1):
+        check_bits(f"literal power {print_expr(node)}",
+                   abs(k) * max(c.numerator.bit_length(),
+                                c.denominator.bit_length()),
+                   MAX_LITERAL_BITS)
+    return (c ** k if k >= 0 else reciprocal(c) ** -k, p * k,
+            {f: v * k for f, v in ex.items()}), True
+
+
+def _sum_form(node, forms):
+    sa, sb = forms[id(node.left)][1], forms[id(node.right)][1]
+    return (_rejected("not an eta-quotient term", node),
+            sa if sa is not True else sb)
+
+
+def _neg_form(node, forms):
+    mono, summable = forms[id(node.operand)]
+    if type(mono) is Rejected:
+        return mono, summable
+    c, p, ex = mono
+    return (-c, p, ex), summable
+
+
+def _other_form(node, forms):
+    """A call, or any other node: no eta quotient."""
+    mono = _rejected("not an eta-quotient term", node)
+    return mono, mono
+
+
+#: each node class and the rule of its eta form; _other_form for the calls
+FORM_RULES = {Lit: _lit_form, Q: _q_form, F: _f_form, Add: _sum_form,
+              Sub: _sum_form, Mul: _mul_form, Div: _div_form, Neg: _neg_form,
+              Pow: _pow_form}
+
+
+def children(node) -> tuple:
+    """The child nodes of node, left to right."""
+    kind = type(node)
+    if kind in _BINARY:
+        return node.left, node.right
+    if kind is Pow:
+        return (node.base,)
+    if kind is Neg:
+        return (node.operand,)
+    if isinstance(node, Call):
+        return node.operands()
+    return ()
+
+
+def record_form(node, forms: dict):
+    """Record node's eta form in forms, where its children's are, and
+    return node."""
+    forms[id(node)] = FORM_RULES.get(type(node), _other_form)(node, forms)
+    return node
+
+
+def eta_forms(root) -> dict:
+    """Every node's eta form, for a tree that parse did not record forms
+    of: id(node) maps to (monomial, summable).  The nodes are listed
+    parents first from a stack and visited in reverse, children before
+    parents and left before right, as the parser builds them, so a sum of
+    thousands of terms needs no recursion and a literal power is refused
+    where parse would refuse it.  The caller keeps root alive while it
+    reads the map."""
+    forms: dict = {}
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(children(node))
+    for node in reversed(nodes):
+        record_form(node, forms)
+    return forms
+
+
+# -- parser -------------------------------------------------------------------
+
+_new = object.__new__
+
+
+def _maker(cls):
+    """Build a cls node of one or two fields by position: object.__new__
+    and the slots' setters, without Record.__init__'s argument binding.
+    cls._check runs where cls defines one."""
+    check = cls._check
+    if len(cls._setters) == 1:
+        (set_a,) = cls._setters
+
+        def make(a):
+            node = _new(cls)
+            set_a(node, a)
+            return node
+    else:
+        set_a, set_b = cls._setters
+
+        def make(a, b):
+            node = _new(cls)
+            set_a(node, a)
+            set_b(node, b)
+            return node
+    if check is Record._check:
+        return make
+
+    def make_checked(a, b):  # a Pow
+        node = _new(cls)
+        set_a(node, a)
+        set_b(node, b)
+        check(node)
+        return node
+    return make_checked
+
+
+_make_lit, _make_f, _make_neg, _make_pow, _rejected = map(
+    _maker, (Lit, F, Neg, Pow, Rejected))
+#: each binary operator's node maker and eta-form rule
+_BINARY_OPS = {op: (_maker(cls), FORM_RULES[cls])
+               for op, cls in (("+", Add), ("-", Sub), ("*", Mul), ("/", Div))}
 
 
 class _Parser:
-    def __init__(self, src: str):
+    __slots__ = ("src", "toks", "i", "depth", "max_digits", "forms",
+                 "form_error")
+
+    def __init__(self, src: str, forms: dict | None):
         self.src = src = src.rstrip()
         bad = _BAD_CHAR_RE.search(src)
         if bad:
-            self.fail(f"unexpected character {bad.group()!r}", bad.start())
-        # (kind, text, offset); finditer skips only whitespace, since every
-        # other character starts a token.  An offset becomes a line and a
-        # column only in fail().  End of input sits one past the start of
-        # the last token; next() stops at the first of three EOF tokens,
-        # so peek(2) never runs past the end.
-        self.toks = [(_KINDS[m.lastindex], m.group(), m.start())
-                     for m in _TOKEN_RE.finditer(src)]
-        self.toks += [("EOF", "", self.toks[-1][2] + 1 if self.toks else 1)] * 3
+            self.fail_at(f"unexpected character {bad.group()!r}", bad.start())
+        # the tokens as strings: findall skips only whitespace, since every
+        # other character starts a token.  A token's offset is found again
+        # only when an error names it.  The three "" after them are the
+        # end of input, so a look two tokens ahead never runs past the
+        # list, and no token is consumed without being matched, so the
+        # position never passes the first ""
+        self.toks = _TOKEN_RE.findall(src) + ["", "", ""]
         self.i = 0
         self.depth = 0
         self.max_digits = max_digits()
+        # eta forms recorded as nodes are built, or None; a form's
+        # QidError is raised once the whole input has parsed, so a later
+        # syntax error is reported first, as when the forms were found
+        # after parsing
+        self.forms = forms
+        self.form_error = None
 
-    def fail(self, message, offset: int, expected=()):
+    def fail_at(self, message, offset: int, expected=()):
         src = self.src
         raise ParseError(message, src.count("\n", 0, offset) + 1,
                          offset - src.rfind("\n", 0, offset), expected)
 
-    def peek(self, ahead: int = 0):
-        return self.toks[self.i + ahead]
-
-    def at(self, text: str) -> bool:
-        """Whether the next token spells text, an operator or "q": no other
-        token, nor the EOF token's "", spells either."""
-        return self.toks[self.i][1] == text
-
-    def next(self):
-        t = self.toks[self.i]
-        if t[0] != "EOF":
-            self.i += 1
-        return t
+    def fail(self, message, i: int, expected=()):
+        """Raise at token i; the end of input sits one past the start of
+        the last token."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.src)]
+        offset = (starts[i] if i < len(starts)
+                  else starts[-1] + 1 if starts else 1)
+        self.fail_at(message, offset, expected)
 
     def error(self, expected):
-        kind, text, offset = self.peek()
-        self.fail(f"unexpected {text or 'end of input'!r}", offset, expected)
+        self.fail(f"unexpected {self.toks[self.i] or 'end of input'!r}",
+                  self.i, expected)
 
-    def enter(self, offset: int):
-        """One level deeper (see MAX_NESTING); the caller steps back out."""
+    def enter(self, i: int):
+        """One level deeper (see MAX_NESTING) at token i; the caller steps
+        back out."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            self.fail(f"expression nested more than {MAX_NESTING} deep", offset)
+            self.fail(f"expression nested more than {MAX_NESTING} deep", i)
 
     def expect_op(self, op: str):
-        if self.at(op):
-            return self.next()
-        self.error({f"'{op}'"})
+        if self.toks[self.i] != op:
+            self.error({f"'{op}'"})
+        self.i += 1
 
     def expect_int(self) -> int:
-        neg = False
-        if self.at("-"):
-            self.next()
-            neg = True
-        kind, text, offset = self.peek()
-        if kind != "INT":
+        neg = self.toks[self.i] == "-"
+        self.i += neg
+        i = self.i
+        if not self.toks[i].isdigit():
             self.error({"integer"})
-        self.next()
-        value = self.read_int(text, offset)
+        self.i = i + 1
+        value = self.read_int(self.toks[i], i)
         return -value if neg else value
 
-    def read_int(self, digits: str, offset: int) -> int:
-        """The integer a run of digits spells, refused above max_digits()
-        digits after its leading zeros, so that int() never meets the
-        interpreter's own limit, on any CPython version."""
+    def read_int(self, digits: str, i: int) -> int:
+        """The integer a run of digits in token i spells, refused above
+        max_digits() digits after its leading zeros, so that int() never
+        meets the interpreter's own limit, on any CPython version."""
         digits = digits.lstrip("0")
         limit = self.max_digits
         if len(digits) > limit:
             self.fail(f"integer literal with {len(digits)} digits (the limit "
-                      f"is {limit})", offset)
+                      f"is {limit})", i)
         return int(digits or "0")
+
+    def note(self, node, rule):
+        """Record node's form by rule, when forms are recorded."""
+        forms = self.forms
+        if forms is not None:
+            forms[id(node)] = rule(node, forms)
+        return node
 
     # grammar -------------------------------------------------------------
 
     def parse(self):
         e = self.expr()
-        if self.peek()[0] != "EOF":
+        if self.toks[self.i]:
             self.error({"operator", "end of input"})
+        if self.form_error is not None:
+            raise self.form_error
         return e
 
     def expr(self):
-        self.enter(self.peek()[2])
+        self.enter(self.i)
         e = self.term()
-        while self.at("+") or self.at("-"):
-            op = self.next()[1]
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+        toks = self.toks
+        while (op := toks[self.i]) == "+" or op == "-":
+            self.i += 1
+            make, rule = _BINARY_OPS[op]
+            e = make(e, self.term())
+            if self.forms is not None:
+                self.forms[id(e)] = rule(e, self.forms)
         self.depth -= 1
         return e
 
     def term(self):
         e = self.unary()
-        while self.at("*") or self.at("/"):
-            op = self.next()[1]
-            rhs = self.unary()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+        toks = self.toks
+        while (op := toks[self.i]) == "*" or op == "/":
+            self.i += 1
+            make, rule = _BINARY_OPS[op]
+            e = make(e, self.unary())
+            if self.forms is not None:
+                self.forms[id(e)] = rule(e, self.forms)
         return e
 
     def unary(self):
-        if self.at("-"):
-            self.enter(self.next()[2])
-            e = Neg(self.unary())
-            self.depth -= 1
-            return e
-        return self.factor()
+        if self.toks[self.i] != "-":
+            return self.factor()
+        self.i += 1
+        self.enter(self.i - 1)
+        e = self.note(_make_neg(self.unary()), _neg_form)
+        self.depth -= 1
+        return e
 
     def factor(self):
         a = self.atom()
-        if self.at("^"):
-            self.next()
-            # the exponent's digits are counted before int() reads them
-            kind, text, offset = self.peek(self.at("-"))
-            digits = text.lstrip("0")
-            if kind == "INT" and (len(digits) > len(str(MAX_POW_EXPONENT))
-                                  or int(digits or 0) > MAX_POW_EXPONENT):
-                self.fail(_EXPONENT_ERROR, offset)
-            return Pow(a, self.expect_int())
-        return a
+        toks = self.toks
+        if toks[self.i] != "^":
+            return a
+        # the exponent, its digits counted before int() reads them
+        neg = toks[self.i + 1] == "-"
+        self.i = i = self.i + 1 + neg
+        if not toks[i].isdigit():
+            self.error({"integer"})
+        digits = toks[i].lstrip("0")
+        if len(digits) > _EXPONENT_DIGITS \
+                or (k := int(digits or "0")) > MAX_POW_EXPONENT:
+            self.fail(_EXPONENT_ERROR, i)
+        self.i = i + 1
+        e = _make_pow(a, -k if neg else k)
+        forms = self.forms
+        if forms is not None:
+            try:
+                forms[id(e)] = _pow_form(e, forms)
+            except QidError as exc:  # no further forms: the first refused
+                self.forms, self.form_error = None, exc
+        return e
 
     def atom(self):
-        kind, text, offset = self.peek()
-        if kind == "INT":
-            self.next()
+        toks, i = self.toks, self.i
+        text = toks[i]
+        digits = text[1:]
+        if text[:1] == "f" and digits.isdigit() and digits.strip("0"):
+            self.i = i + 1  # f_k needs k >= 1
+            e = _make_f(self.read_int(digits, i))
+            if self.forms is not None:
+                self.forms[id(e)] = _f_form(e, self.forms)
+            return e
+        if text.isdigit():
             # rational literal INT/INT, unless the denominator is powered
-            if self.at("/") and self.peek(1)[0] == "INT" \
-                    and self.peek(2)[1] != "^":
-                self.next()
-                den = self.read_int(*self.next()[1:])
+            if toks[i + 1] == "/" and toks[i + 2].isdigit() \
+                    and toks[i + 3] != "^":
+                self.i = i + 3
+                den = self.read_int(toks[i + 2], i + 2)
                 if den == 0:
-                    self.fail("zero denominator in rational literal", offset)
-                return Lit(Fraction(self.read_int(text, offset), den))
-            return Lit(Fraction(self.read_int(text, offset)))
-        if kind == "NAME":
-            if text == "q":
-                self.next()
-                return Q()
-            fm = _F_RE.fullmatch(text)
-            if fm:
-                self.next()
-                return F(self.read_int(fm.group(1), offset))
-            if text in CALLS:
-                return self.call()
+                    self.fail("zero denominator in rational literal", i)
+                value = Fraction(self.read_int(text, i), den)
+            else:
+                self.i = i + 1
+                value = Fraction(self.read_int(text, i))
+            return self.note(_make_lit(value), _lit_form)
+        if text == "q":
+            self.i = i + 1
+            e = _new(Q)  # Q has no field
+            if self.forms is not None:
+                self.forms[id(e)] = _q_form(e, self.forms)
+            return e
+        if text in CALLS:
+            return self.call()
+        if text[:1].isalpha():
             self.error({"'q'", "'f<k>'", *(f"'{n}'" for n in CALLS)})
-        if kind == "OP" and text == "(":
-            self.next()
+        if text == "(":
+            self.i = i + 1
             e = self.expr()
             self.expect_op(")")
             return e
         self.error({"number", "'q'", "'f<k>'", "'('", "call"})
 
     def call(self):
-        cls = CALLS[self.next()[1]]
+        cls = CALLS[self.toks[self.i]]
+        self.i += 1
         self.expect_op("(")
         args = []
         for kind in cls.kinds:
@@ -314,40 +565,45 @@ class _Parser:
             args.append(_READERS[kind](self))
         if cls is Extract and not 0 <= args[2] < args[1]:
             self.fail(f"EXTRACT residue {args[2]} not in [0, {args[1]})",
-                      self.peek()[2])
+                      self.i)
         try:
             node = cls(*args)
         except ValueError as exc:  # a rule of the node, on its last argument
-            self.fail(str(exc), self.toks[start][2])
+            self.fail(str(exc), start)
         self.expect_op(")")
-        return node
+        return self.note(node, _other_form)
 
     def signed_monomial(self) -> SignedMonomial:
-        sign = 1
-        if self.at("-"):
-            self.next()
-            sign = -1
-        if not self.at("q"):
+        sign = -1 if self.toks[self.i] == "-" else 1
+        self.i += sign < 0
+        if self.toks[self.i] != "q":
             self.error({"'q'", "'-q'"})
-        self.next()
+        self.i += 1
         exp = 1
-        if self.at("^"):
-            self.next()
+        if self.toks[self.i] == "^":
+            self.i += 1
             exp = self.expect_int()
         return SignedMonomial(sign, exp)
 
     def selector(self) -> str:
-        if self.peek()[1] not in SELECTORS:
+        text = self.toks[self.i]
+        if text not in SELECTORS:
             self.error({f"'{s}'" for s in SELECTORS})
-        return self.next()[1]
+        self.i += 1
+        return text
 
 
 _READERS = {EXPR: _Parser.expr, INT: _Parser.expect_int,
             MONO: _Parser.signed_monomial, SEL: _Parser.selector}
 
 
-def parse(src: str):
-    return _Parser(src).parse()
+def parse(src: str, forms: dict | None = None):
+    """The tree src spells; ParseError says where and why it does not.
+
+    With forms, a dict, each node's eta form (see FORM_RULES) is recorded
+    in it as the node is built, keyed by id(node), and a literal power
+    the forms refuse raises its QidError once src has parsed."""
+    return _Parser(src, forms).parse()
 
 
 #: the operator each binary node prints as, and its precedence level

@@ -31,9 +31,8 @@ from .qproducts import (EtaExpression, SignedMonomial, cleared_sum,
                         eta_expression, eta_expression_eval,
                         eta_expression_vanishes, theta_j)
 from .record import Record
-from .series import (MAX_INVERSE_BITS, MAX_LITERAL_BITS,
-                     TruncatedLaurentSeries, check_bits, check_work_order,
-                     checked_product)
+from .series import (MAX_INVERSE_BITS, TruncatedLaurentSeries,
+                     check_work_order, checked_product)
 
 TIERS = ("core", "classical", "background")
 
@@ -62,8 +61,9 @@ _COMBINE = {
 def _eval(e, n: int, forms: dict) -> TruncatedLaurentSeries:
     """One evaluation round at working order n.
 
-    forms is _eta_forms of the tree eval_expr holds: a subtree that is an
-    eta quotient goes to the normal form."""
+    forms holds the eta form of every node of the tree eval_expr holds
+    (see dsl.FORM_RULES): a subtree that is an eta quotient goes to the
+    normal form."""
     check_work_order(n)
     if forms[id(e)][1] is True:
         form = eta_expression([t[:3] for t in _summands(e, forms)])
@@ -110,9 +110,10 @@ def eval_expr(e, order: int, forms: dict | None = None) -> TruncatedLaurentSerie
 
     Every subtree that is an eta quotient (see expr_to_eta) goes to
     qproducts.eta_expression_eval as one normal form, which is exact
-    through the order it is asked for; one pass of _eta_forms finds them
-    all before the first round, unless the caller passes forms, the map
-    _eta_forms made of a tree that holds e.  Elsewhere, inner divisions and
+    through the order it is asked for.  The eta forms that find them are
+    the caller's forms, recorded by dsl.parse as it built a tree that
+    holds e; for forms None, dsl.eta_forms finds them by the same rule in
+    one pass before the first round.  Elsewhere, inner divisions and
     Laurent factors can lose order; the loss is a fixed structural
     constant of the expression, so re-evaluating with the measured deficit
     as padding converges in a couple of rounds.  A divisor that is zero
@@ -128,7 +129,7 @@ def eval_expr(e, order: int, forms: dict | None = None) -> TruncatedLaurentSerie
         raise ValueError("order must be nonnegative")
     pad = 0
     if forms is None:
-        forms = _eta_forms(e)
+        forms = dsl.eta_forms(e)
     for _ in range(10):
         try:
             s = _eval(e, order + pad, forms)
@@ -145,118 +146,6 @@ def eval_expr(e, order: int, forms: dict | None = None) -> TruncatedLaurentSerie
     raise QidError(f"evaluation did not reach order {order}")
 
 
-class _Rejected(Record):
-    """Why a subtree is not an eta quotient: the reason and the node it
-    names, rendered only when expr_to_eta reports it."""
-
-    __slots__ = __match_args__ = ("reason", "node")
-
-    def error(self) -> QidError:
-        return QidError(f"{self.reason}: {dsl.print_expr(self.node)}")
-
-
-def _reciprocal(c):
-    """1/c for a nonzero int or Fraction c; an int stays one when c is +-1."""
-    return c if c == 1 or c == -1 else Fraction(1, c)
-
-
-def _times(a: dict, b: dict, sign: int) -> dict:
-    """The exponent map {k: e} of a product (sign 1) or quotient (sign -1)
-    of eta quotients with exponent maps a and b."""
-    ex = dict(a)
-    for k, v in b.items():
-        ex[k] = ex.get(k, 0) + sign * v
-    return ex
-
-
-def _children(node) -> tuple:
-    kind = type(node)
-    if kind in _COMBINE:
-        return node.left, node.right
-    if kind is dsl.Pow:
-        return (node.base,)
-    if kind is dsl.Neg:
-        return (node.operand,)
-    if isinstance(node, dsl.Call):
-        return node.operands()
-    return ()
-
-
-def _eta_forms(root) -> dict:
-    """Every node's eta form, children before parents.
-
-    Maps id(node) to (monomial, summable).  monomial is the node as one
-    eta-quotient term (coeff, qpow, {k: e}) built from literals, q, f_k,
-    *, /, ^ and unary minus; summable is True when the node is a sum of
-    such terms (see _summands).  Where either fails it is a _Rejected naming
-    the first offending node from the left.  A coefficient stays an int
-    until a non-integral literal, or a division or negative power of a
-    coefficient other than +-1, makes it a Fraction; a literal power
-    estimated above MAX_LITERAL_BITS raises QidError.  The nodes are listed
-    parents first from a stack and visited in reverse, so a sum of
-    thousands of terms needs no recursion.  The caller keeps root alive
-    while it reads the map."""
-    forms: dict = {}
-    nodes, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(_children(node))
-    for node in reversed(nodes):
-        kind = type(node)
-        if kind is dsl.Mul or kind is dsl.Div:
-            ma, mb = forms[id(node.left)][0], forms[id(node.right)][0]
-            if type(ma) is _Rejected:
-                mono = ma
-            elif type(mb) is _Rejected:
-                mono = mb
-            else:
-                (ca, pa, ea), (cb, pb, eb) = ma, mb
-                if kind is dsl.Mul:
-                    mono = (ca * cb, pa + pb, _times(ea, eb, 1))
-                elif cb:
-                    mono = (ca * _reciprocal(cb), pa - pb, _times(ea, eb, -1))
-                else:
-                    mono = _Rejected("division by zero", node)
-            summable = mono if type(mono) is _Rejected else True
-        elif kind is dsl.Pow:
-            mono = forms[id(node.base)][0]
-            if type(mono) is not _Rejected:
-                c, p, ex = mono
-                k = node.exp
-                if k < 0 and not c:
-                    mono = _Rejected("division by zero", node)
-                else:
-                    if c not in (0, 1, -1):
-                        check_bits(f"literal power {dsl.print_expr(node)}",
-                                   abs(k) * max(c.numerator.bit_length(),
-                                                c.denominator.bit_length()),
-                                   MAX_LITERAL_BITS)
-                    mono = (c ** k if k >= 0 else _reciprocal(c) ** -k, p * k,
-                            {f: v * k for f, v in ex.items()})
-            summable = mono if type(mono) is _Rejected else True
-        elif kind is dsl.F:
-            mono, summable = (1, 0, {node.k: 1}), True
-        elif kind is dsl.Lit:
-            v = node.value
-            mono, summable = (v.numerator if v.denominator == 1 else v, 0, {}), True
-        elif kind is dsl.Add or kind is dsl.Sub:
-            sa, sb = forms[id(node.left)][1], forms[id(node.right)][1]
-            mono = _Rejected("not an eta-quotient term", node)
-            summable = sa if sa is not True else sb
-        elif kind is dsl.Q:
-            mono, summable = (1, 1, {}), True
-        elif kind is dsl.Neg:
-            mono, summable = forms[id(node.operand)]
-            if type(mono) is not _Rejected:
-                c, p, ex = mono
-                mono = (-c, p, ex)
-        else:
-            mono = summable = _Rejected("not an eta-quotient term", node)
-        forms[id(node)] = (mono, summable)
-    return forms
-
-
 def _summands(root, forms: dict) -> list | None:
     """root as a sum of summands (c, a, {k: e}, x), each c*q^a*prod f_k^e
     times a node x that is not an eta quotient, or x None; None when
@@ -264,11 +153,11 @@ def _summands(root, forms: dict) -> list | None:
 
     The eta monomials below root's sums and negations are its terms, left
     to right, zero literals left out: so an eta-quotient sum (see
-    _eta_forms) is read into its normal form here as well.  Eta monomials
+    dsl.FORM_RULES) is read into its normal form here as well.  Eta monomials
     are multiplied into sums, a quotient by an eta monomial into its
     dividend, and SUBST(E, m) of an eta-quotient sum E is the sum of E's
-    terms with f_k -> f_(mk) and q^a -> q^(ma); any other node that
-    _eta_forms finds no eta quotient is an x, MT, AL, EXTRACT, SUBST and J
+    terms with f_k -> f_(mk) and q^a -> q^(ma); any other node whose eta
+    form is no eta quotient is an x, MT, AL, EXTRACT, SUBST and J
     among them, or a sum or product of such nodes.  The summands are
     walked from a stack, so a sum of thousands of terms needs no
     recursion."""
@@ -284,26 +173,26 @@ def _summands(root, forms: dict) -> list | None:
             stack.append((node.operand, -c, a, ex))
         elif kind is dsl.Lit and not node.value:
             pass
-        elif type(mono := forms[id(node)][0]) is not _Rejected:
+        elif type(mono := forms[id(node)][0]) is not dsl.Rejected:
             mc, ma, mex = mono
-            out.append((c * mc, a + ma, _times(ex, mex, 1) if ex else mex,
+            out.append((c * mc, a + ma, dsl.times(ex, mex, 1) if ex else mex,
                         None))
         elif kind is dsl.Subst and forms[id(node.expr)][1] is True:
             m = node.m  # f_k -> f_(mk) and q^a -> q^(ma)
             out += [(c * tc, a + m * ta,
-                     _times(ex, {m * k: e for k, e in tex.items()}, 1), None)
+                     dsl.times(ex, {m * k: e for k, e in tex.items()}, 1), None)
                     for tc, ta, tex, _ in _summands(node.expr, forms)]
-        elif kind is dsl.Mul and type(forms[id(node.left)][0]) is not _Rejected:
+        elif kind is dsl.Mul and type(forms[id(node.left)][0]) is not dsl.Rejected:
             mc, ma, mex = forms[id(node.left)][0]
-            stack.append((node.right, c * mc, a + ma, _times(ex, mex, 1)))
-        elif kind is dsl.Mul and type(forms[id(node.right)][0]) is not _Rejected:
+            stack.append((node.right, c * mc, a + ma, dsl.times(ex, mex, 1)))
+        elif kind is dsl.Mul and type(forms[id(node.right)][0]) is not dsl.Rejected:
             mc, ma, mex = forms[id(node.right)][0]
-            stack.append((node.left, c * mc, a + ma, _times(ex, mex, 1)))
-        elif kind is dsl.Div and type(forms[id(node.right)][0]) is not _Rejected \
+            stack.append((node.left, c * mc, a + ma, dsl.times(ex, mex, 1)))
+        elif kind is dsl.Div and type(forms[id(node.right)][0]) is not dsl.Rejected \
                 and forms[id(node.right)][0][0]:
             mc, ma, mex = forms[id(node.right)][0]
-            stack.append((node.left, c * _reciprocal(mc), a - ma,
-                          _times(ex, mex, -1)))
+            stack.append((node.left, c * dsl.reciprocal(mc), a - ma,
+                          dsl.times(ex, mex, -1)))
         elif _divides(node):
             return None
         else:
@@ -318,13 +207,13 @@ def _divides(root) -> bool:
         node = stack.pop()
         if type(node) is dsl.Div or type(node) is dsl.Pow and node.exp < 0:
             return True
-        stack.extend(_children(node))
+        stack.extend(dsl.children(node))
     return False
 
 
 def _vanishes(diff, n: int, forms: dict) -> bool:
     """Whether diff = lhs - rhs is shown to vanish through q^n by products
-    alone, with forms = _eta_forms(diff).
+    alone, with forms the eta forms of diff's nodes.
 
     A diff whose summands (see _summands) have no x is one eta-quotient
     sum.  The valence formula (qid.certificate) proves it zero once it
@@ -336,9 +225,11 @@ def _vanishes(diff, n: int, forms: dict) -> bool:
     lies above q^n, that sum is expanded through q^n
     (qproducts.eta_expression_vanishes).
 
-    Otherwise each x is evaluated through q^(n - a), the order its
-    summand c*q^a*prod_k f_k^(e_k) leaves, and diff vanishes when its
-    cleared sum does.  False when diff does not vanish, when an x
+    Otherwise the work order n - A that the cleared sum needs, A the
+    least q-power of a summand, is checked first, and only then is each
+    x evaluated through q^(n - a), the order its summand
+    c*q^a*prod_k f_k^(e_k) leaves; diff vanishes when its cleared sum
+    does.  False when diff does not vanish, when an x
     divides, or on an error: the two sides then decide, as they alone
     can pin a first mismatch or report an error.  An x that divides is
     not cleared because its inverse is paid for either way, and clearing
@@ -356,6 +247,9 @@ def _vanishes(diff, n: int, forms: dict) -> bool:
             if status in ("proved", "nonzero"):
                 return status == "proved"
             return eta_expression_vanishes(form, n)
+        # cleared_sum's own check, before any x is evaluated
+        check_work_order(n - min(a for c, a, _, x in summands
+                                 if c or x is not None))
         return cleared_sum(
             [(c, a, ex,
               None if x is None else eval_expr(x, max(n - a, 0), forms))
@@ -364,10 +258,12 @@ def _vanishes(diff, n: int, forms: dict) -> bool:
         return False
 
 
-def expr_to_eta(e) -> EtaExpression:
+def expr_to_eta(e, forms: dict | None = None) -> EtaExpression:
     """Flatten an AST built from literals, q, f_k, *, /, ^, unary minus and
-    sums into an EtaExpression; raises QidError on any other node kind."""
-    forms = _eta_forms(e)
+    sums into an EtaExpression; raises QidError on any other node kind.
+    forms is e's eta forms, found here when None (see eval_expr)."""
+    if forms is None:
+        forms = dsl.eta_forms(e)
     summable = forms[id(e)][1]
     if summable is not True:
         raise summable.error()
@@ -525,19 +421,19 @@ def verify(rec: IdentityRecord, order: int | None = None) -> VerificationOutcome
     try:
         if rec.kind == "identity":
             n = order if order is not None else rec.default_order
-            lhs, rhs, forms = dsl.parse(rec.lhs), None, None
+            forms: dict = {}
+            lhs, rhs = dsl.parse(rec.lhs, forms), None
             try:
-                rhs = dsl.parse(rec.rhs)
-                diff = dsl.Sub(lhs, rhs)
-                forms = _eta_forms(diff)
+                rhs = dsl.parse(rec.rhs, forms)
             except QidError:
                 pass  # the lhs, evaluated first, may report its own error
             else:
+                diff = dsl.record_form(dsl.Sub(lhs, rhs), forms)
                 if _vanishes(diff, n, forms):
                     return VerificationOutcome("pass", n)
             left = eval_expr(lhs, n, forms)
             if rhs is None:
-                rhs = dsl.parse(rec.rhs)
+                rhs = dsl.parse(rec.rhs, forms)
             return compare_series(left, eval_expr(rhs, n, forms))
         if rec.kind == "congruence":
             return check_congruence(rec.series, rec.step, rec.residue,

@@ -11,16 +11,16 @@ one product, not three.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 from .caches import kept
 from .errors import QidError, ThetaVanishesError
 from .record import Record
 from .series import (MAX_INVERSE_BITS, MAX_LITERAL_BITS, MAX_POW_EXPONENT,
-                     MAX_WORK_ORDER, TruncatedLaurentSeries, check_work_order,
-                     checked_product)
+                     MAX_WORK_ORDER, TruncatedLaurentSeries, _unpack,
+                     check_work_order, checked_product)
 
 _CACHE_STEP = 64
 
@@ -225,15 +225,25 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+#: Below this order a product of eta powers is multiplied flat (see
+#: _flat_sum): splitting it by a shared divisor d, as _eta_product does
+#: above, shortens series of at most this many terms, where a product
+#: costs little more than the calls and factorizations the split takes.
+FLAT_ORDER = 64
+
+
 def _eta_product(exps: dict[int, int], order: int) -> TruncatedLaurentSeries:
     """prod_k f_k^(e_k), every e_k >= 0, through q^order.
 
-    f_k^e(q) = f_(k/d)^e(q^d) for d dividing k, so factors whose indices
-    share a divisor d are multiplied at order//d and then spread by
-    substitute_power: a product of series d times shorter.  A factor f_k
-    with k > order is 1 through q^order and is dropped first, so no index
-    above the order is factored."""
+    f_k^e(q) = f_(k/d)^e(q^d) for d dividing k, so from FLAT_ORDER up
+    factors whose indices share a divisor d are multiplied at order//d and
+    then spread by substitute_power: a product of series d times shorter.
+    A factor f_k with k > order is 1 through q^order and is dropped first,
+    so no index above the order is factored."""
     exps = {k: e for k, e in exps.items() if e and k <= order}
+    if order < FLAT_ORDER:
+        return TruncatedLaurentSeries(
+            0, order, tuple(_flat_sum([(1, 0, exps.items())], order)))
     if len(exps) <= 1:
         k, e = next(iter(exps.items()), (1, 0))
         return eta_power(k, e, order)
@@ -251,6 +261,65 @@ def _eta_product(exps: dict[int, int], order: int) -> TruncatedLaurentSeries:
     group = {k: e for k, e in exps.items() if k % d == 0}
     rest = {k: e for k, e in exps.items() if k % d}
     return _eta_product(rest, order) * _eta_product(group, order)
+
+
+def _eta_sum(terms, order: int) -> list[int]:
+    """The numerators of q^0 .. q^order of sum_i c_i q^(s_i) prod_k
+    f_k^(e_ik), over terms (c_i, s_i, ((k, e_ik), ...)), every c_i a
+    nonzero int, 0 <= s_i <= order and e_ik >= 1: each term's product
+    (_eta_product) scaled into one list, or below FLAT_ORDER the flat
+    sum."""
+    if order < FLAT_ORDER:
+        return _flat_sum(terms, order)
+    total = [0] * (order + 1)
+    for c, s, exps in terms:
+        product = _eta_product(dict(exps), order - s).coeffs
+        total[s:] = map(add, total[s:], map(mul, product, repeat(c)))
+    return total
+
+
+def _flat_sum(terms, order: int) -> list[int]:
+    """_eta_sum's list, as one packed integer.
+
+    Each power f_k^e with 1 <= k <= order and e >= 1 is fetched once
+    (eta_power), and its coefficients at q^0, q^k, ..., those of f_1^e,
+    are packed in Horner form as f_1^e(q^k) at q = X = 2^(8*width); a
+    term is c times q^s, times each of its powers, every product kept
+    modulo X^(order+1), and the terms are summed the same way.  That ring map is exact for the
+    digits of the sum once each of them lies below X/2 in absolute value,
+    as width makes sure: no coefficient of the sum exceeds the sum over
+    the terms of |c| times the product of the l1 norms of its powers."""
+    n = order + 1
+    terms = [(c, s, [f for f in exps if f[0] <= order])
+             for c, s, exps in terms]
+    powers = {}
+    for _, _, exps in terms:
+        for f in exps:
+            if f not in powers:
+                powers[f] = eta_power(*f, order).coeffs[::f[0]]
+    norms = {f: sum(map(abs, cs)) for f, cs in powers.items()}
+    bound = 0
+    for c, _, exps in terms:
+        b = abs(c)
+        for f in exps:
+            b *= norms[f]
+        bound += b
+    width = (bound.bit_length() + 8) // 8
+    digit = 8 * width
+    mask = (1 << (digit * n)) - 1
+    packed = {}
+    for f, cs in powers.items():
+        step, x = digit * f[0], 0
+        for c in reversed(cs):
+            x = (x << step) + c
+        packed[f] = x
+    total = 0
+    for c, s, exps in terms:
+        x = c << (digit * s)
+        for f in exps:
+            x = x * packed[f] & mask
+        total += x
+    return _unpack(total, width, 1 << (digit - 1), n)
 
 
 def eta_expression_eval(expr: EtaExpression, order: int) -> TruncatedLaurentSeries:
@@ -302,7 +371,8 @@ def cleared_sum(summands, order: int):
     whose c is 0.  U is q^A times a unit, so the sum vanishes through
     q^order exactly when S does through q^(order - A), and every power
     left in S is nonnegative: S takes no inversion.  Like eta terms are
-    summed, and each sum is its own product; the factors that share a
+    summed, and the sums go into one list of numerators over the lcm of
+    their denominators (_eta_sum); the factors that share a
     cleared eta factor F = prod_k f_k^(e_k - m_k) are summed and
     multiplied by F once, F built through the order the group's least
     q-power leaves, and as far again as their sum reaches below it, a
@@ -316,19 +386,25 @@ def cleared_sum(summands, order: int):
     for _, _, exps, _ in live:
         for k, e in exps.items():
             low_f[k] = min(low_f.get(k, 0), e)
-    total = TruncatedLaurentSeries.zero(work)
     like, groups = {}, {}
     for c, a, exps, s in live:
-        # the cleared powers, indexed alike for every summand
-        cleared = tuple((k, exps.get(k, 0) - m) for k, m in low_f.items())
+        # the cleared powers but the zero ones, indexed alike for every
+        # summand
+        cleared = tuple([(k, e - m) for k, m in low_f.items()
+                         if (e := exps.get(k, 0)) != m])
         if s is None:
             like[a, cleared] = like.get((a, cleared), 0) + c
         else:
             groups.setdefault(cleared, []).append((c, a - low_q, s))
-    for (a, cleared), c in like.items():
-        if c and a <= order:  # else zero through q^order
-            total = total + _eta_product(dict(cleared), order - a) \
-                .scale(c).shift(a - low_q)
+    # a term above q^order is zero through it
+    terms = [(c, a - low_q, cleared) for (a, cleared), c in like.items()
+             if c and a <= order]
+    total = TruncatedLaurentSeries.zero(work)
+    if terms:
+        den = lcm(*(c.denominator for c, _, _ in terms))
+        total = TruncatedLaurentSeries(0, work, tuple(_eta_sum(
+            [(c.numerator * (den // c.denominator), s, cleared)
+             for c, s, cleared in terms], work)), den)
     for cleared, members in groups.items():
         low = min(shift for _, shift, _ in members)
         parts = [s.scale(c).shift(shift - low) for c, shift, s in members]

@@ -9,9 +9,9 @@ import pytest
 
 from qid import cli
 from qid.cli import main
-from qid.engine import MAX_LITERAL_BITS, load_registry
+from qid.engine import load_registry
 from qid.qproducts import MAX_ETA_BITS
-from qid.series import MAX_INVERSE_BITS, MAX_POW_EXPONENT
+from qid.series import MAX_INVERSE_BITS, MAX_LITERAL_BITS, MAX_POW_EXPONENT
 
 
 def run(capsys, *argv):

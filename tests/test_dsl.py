@@ -1,5 +1,6 @@
 """Expression DSL: parsing, precedence, printing, error reporting."""
 
+import json
 import os
 import re
 import sys
@@ -193,6 +194,27 @@ def test_error_report_pinned(src, message, line, column, expected):
     err = info.value
     assert (str(err), err.line, err.column, err.expected) == \
         (message, line, column, expected)
+
+
+def test_parse_errors_pinned_corpus():
+    # every registry side with one token deleted, duplicated or replaced,
+    # and one input for each other message (scripts/parse_error_corpus.py):
+    # each error's message, line, column and expected set, byte for byte,
+    # whether the parser records eta forms or not
+    path = os.path.join(os.path.dirname(__file__), "data", "parse_errors.json")
+    with open(path, encoding="utf-8") as fh:
+        corpus = json.load(fh)
+    assert len(corpus) == 321
+    assert sum(entry["error"] is not None for entry in corpus) == 267
+    for entry in corpus:
+        for forms in (None, {}):
+            try:
+                parse(entry["src"], forms)
+            except ParseError as exc:
+                got = str(exc)
+            else:
+                got = None
+            assert got == entry["error"], entry["src"]
 
 
 def test_leading_zeros_in_eta_index():

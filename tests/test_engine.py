@@ -430,6 +430,86 @@ def test_expr_to_eta_matches_reference(asts, data):
         assert gcd(got.den, *nums) == 1
 
 
+# -- eta forms: recorded by the parser, or found by the walk ----------------
+
+def _nodes(root) -> list:
+    """root's nodes, parents first, as dsl.eta_forms lists them."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(dsl.children(node))
+    return out
+
+
+def _strict(form, same=None):
+    """A form that compares strictly: each coefficient with its type, each
+    exponent map in its order, a Rejected by its reason and by the id of
+    its node, mapped through same (an id to an id) where given."""
+    def key(x):
+        if type(x) is dsl.Rejected:
+            return "rejected", x.reason, (same or {}).get(id(x.node), id(x.node))
+        if x is True:
+            return True
+        c, p, ex = x
+        return type(c), c, p, list(ex.items())
+    return tuple(map(key, form))
+
+
+def assert_forms_agree(src: str, e=None):
+    """The forms parse records while it reads src equal, node for node,
+    those dsl.eta_forms finds for e, a tree equal to the one parse
+    returns (that tree itself when None)."""
+    recorded = {}
+    tree = parse(src, recorded)
+    e = tree if e is None else e
+    assert tree == e
+    pairs = list(zip(_nodes(tree), _nodes(e)))
+    assert recorded.keys() == {id(a) for a, _ in pairs}
+    walked = dsl.eta_forms(e)
+    same = {id(b): id(a) for a, b in pairs}
+    for a, b in pairs:
+        assert _strict(recorded[id(a)]) == _strict(walked[id(b)], same)
+
+
+def test_forms_agree_on_every_registry_side(registry):
+    sides = [s for r in registry if r.kind == "identity" for s in (r.lhs, r.rhs)]
+    assert len(sides) == 96
+    for src in sides:
+        assert_forms_agree(src)
+
+
+@pytest.mark.parametrize("asts", [_asts, _eta_asts], ids=["any", "eta"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_forms_agree_on_printed_trees(asts, data):
+    e = data.draw(asts)
+    try:
+        tree = parse(print_expr(e))
+    except QidError:  # a slot the parser refuses, as in f0 or J(q, -1)
+        return
+    # a negative literal prints as a negation, which the parser reads as
+    # one: then the forms are compared on the tree it reads
+    assert_forms_agree(print_expr(e), e if tree == e else None)
+
+
+def test_a_refused_literal_power_waits_for_the_whole_input():
+    # the parser records forms as it goes, but reports a literal power that
+    # they refuse only once the input has parsed: a later syntax error
+    # comes first, as when the forms were found after parsing
+    big = "2^10000000000"
+    with pytest.raises(dsl.ParseError, match="unexpected '\\)'"):
+        parse(f"{big} + )", {})
+    with pytest.raises(QidError, match="literal power") as info:
+        parse(f"q + {big} + 3^10000000000", {})
+    assert not isinstance(info.value, dsl.ParseError)
+    tree = parse(f"q + {big} + 3^10000000000")
+    with pytest.raises(QidError) as walked:
+        dsl.eta_forms(tree)
+    assert str(walked.value) == str(info.value)
+    assert big in str(walked.value)
+
+
 # -- a pass decided on lhs - rhs over its common eta denominator -------------
 
 def two_sided(lhs: str, rhs: str, order: int):
@@ -448,8 +528,10 @@ def identity(lhs: str, rhs: str) -> IdentityRecord:
 
 def clears(lhs: str, rhs: str, order: int) -> bool:
     """Whether verify decides the pass on lhs - rhs alone."""
-    diff = dsl.Sub(parse(lhs), parse(rhs))
-    return engine._vanishes(diff, order, engine._eta_forms(diff))
+    forms = {}
+    diff = dsl.record_form(dsl.Sub(parse(lhs, forms), parse(rhs, forms)),
+                           forms)
+    return engine._vanishes(diff, order, forms)
 
 
 _coeffs = st.sampled_from(["1", "-1", "2", "(1/2)", "(-3/4)"])
@@ -488,8 +570,9 @@ def _sides(draw, depth=1):
 
 
 def _is_eta_sum(src: str) -> bool:
-    e = parse(src)
-    return engine._eta_forms(e)[id(e)][1] is True
+    forms = {}
+    e = parse(src, forms)
+    return forms[id(e)][1] is True
 
 
 #: the registry identities whose two sides are eta-quotient sums, with
@@ -549,6 +632,31 @@ def test_cleared_pass_agrees_with_the_two_sides(ids, order):
     assert verify(identity(lhs, rhs), order) == want
     if want.status == "fail":
         assert not clears(lhs, rhs, order)
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    # Euler's f_1 = j(q; q^3): the J group cancels the eta terms
+    ("f2*J(q, 3)", "f1*f2"),
+    # and two groups, with factors J(q, 3)*J(-q, 2) and J(-q, 2), cancel
+    ("f2*J(q, 3)*J(-q, 2)", "f1*f2*J(-q, 2)")])
+def test_a_factor_group_cancelling_eta_terms_clears(lhs, rhs):
+    assert clears(lhs, rhs, 50)
+    assert not clears(lhs, f"{rhs} + q^50", 50)
+
+
+def test_a_refused_work_order_evaluates_no_factor(monkeypatch):
+    # lhs - rhs needs work order 1000 + 7500, above MAX_WORK_ORDER: that
+    # is refused before MT(B2) is summed, and the lhs reports it
+    calls = []
+    mt = engine.mock_theta_series
+    monkeypatch.setattr(engine, "mock_theta_series",
+                        lambda *a: calls.append(a) or mt(*a))
+    clear_all()
+    src = "q^-7500*f1 + MT(B2)"
+    assert verify(identity(src, src), 1000) == VerificationOutcome(
+        "error", -1, None,
+        "evaluation would work at order 8500, above the limit 8000")
+    assert calls == []
 
 
 #: the identity records whose pass is not decided on lhs - rhs, since

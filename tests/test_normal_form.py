@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qid import NotInvertibleError, QidError, dissect_extract, eval_expr
 from qid import dsl
-from qid.engine import _eta_forms, _eval
+from qid.engine import _eval
 from qid.qproducts import mul_one_minus
 from qid.series import TruncatedLaurentSeries as S
 
@@ -130,6 +130,6 @@ def test_normal_form_matches_node_by_node(e, n):
         want = plain_eval(e, n)
     except QidError:
         return
-    got = _eval(e, n, _eta_forms(e))
+    got = _eval(e, n, dsl.eta_forms(e))
     common = min(got.order, want.order)
     assert got.truncate(common) == want.truncate(common)

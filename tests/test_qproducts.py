@@ -165,6 +165,12 @@ def test_eta_power_exponent_bound():
         with pytest.raises(QidError, match=f"f{k}.e, e of 64 bits, has an "
                            f"exponent above the limit {2 ** 63 - 1}"):
             eta_power(k, 2 ** 63, 10)
+    # and a sum names the power it asked for, on either side of FLAT_ORDER
+    e = eta_expression([(1, 0, {2: 2 ** 63}), (1, 0, {1: 1})])
+    for order in (10, 2 * qproducts.FLAT_ORDER):
+        clear_all()
+        with pytest.raises(QidError, match="the power f2.e, e of 64 bits"):
+            eta_expression_eval(e, order)
 
 
 def test_eta_f_small():
@@ -175,7 +181,8 @@ def test_eta_f_small():
 def test_index_above_the_order_is_not_factored(monkeypatch):
     """f_k with k > order is 1 through q^order and is dropped before the
     split, so a 13-digit prime index costs no trial division; a fresh
-    process must end well within its timeout."""
+    process must end well within its timeout.  Below FLAT_ORDER nothing
+    is split, so nothing is factored."""
     big = 1000000000039  # prime
     factored = []
     factorize = qproducts.factorize
@@ -184,7 +191,10 @@ def test_index_above_the_order_is_not_factored(monkeypatch):
     clear_all()
     e = eta_expression([(1, 0, {1: 1, 2: 1, big: 1}), (-1, 0, {1: 1, 2: 1})])
     assert eta_expression_eval(e, 10) == S.zero(10)
-    assert factored and max(factored) <= 10
+    assert not factored
+    order = 2 * qproducts.FLAT_ORDER
+    assert eta_expression_eval(e, order) == S.zero(order)
+    assert factored and max(factored) <= order
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -403,3 +413,35 @@ def test_div_one_minus_rejects_nonpositive_power():
     for d in (0, -1, -5):
         with pytest.raises(ValueError):
             div_one_minus([1, 0, 0, 0, 0, 0], 1, d)
+
+
+def _product_sum(terms, order: int) -> list[int]:
+    """_eta_sum's list by series arithmetic alone: each term's eta powers
+    multiplied one after another, scaled, shifted and added."""
+    total = S.zero(order)
+    for c, s, exps in terms:
+        t = S.one(order - s)
+        for k, e in exps:
+            t = t * eta_power(k, e, order - s)
+        total = total + t.scale(c).shift(s)
+    return list(total.coeffs)
+
+
+_flat_terms = st.lists(st.tuples(
+    st.sampled_from([1, -1, 2, -7, 3 ** 40, -(5 ** 60)]), st.integers(0, 12),
+    st.lists(st.tuples(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24, 70]),
+                       st.integers(1, 40)), max_size=5, unique_by=lambda f: f[0])),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flat_terms, st.integers(0, 2 * qproducts.FLAT_ORDER))
+# digits wider than 8 bytes, which _unpack reads one at a time
+@example([(3 ** 40, 0, [(1, 40)]), (-(5 ** 60), 2, [(1, 39), (2, 40)])], 90)
+@example([(1, 0, [(70, 1)])], 69)
+def test_flat_sum_matches_the_products(terms, order):
+    terms = [t for t in terms if t[1] <= order]
+    want = _product_sum(terms, order)
+    assert qproducts._flat_sum(terms, order) == want
+    # _eta_sum takes the divisor recursion from FLAT_ORDER up
+    assert qproducts._eta_sum(terms, order) == want
